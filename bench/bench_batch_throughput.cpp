@@ -112,11 +112,13 @@ BENCHMARK(BM_ProcessSerialLoop)
     ->Arg(kDocs)
     ->Arg(2 * kDocs)
     ->ArgName("docs")
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ProcessBatch)
     ->Arg(kDocs)
     ->Arg(2 * kDocs)
     ->ArgName("docs")
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 double SecondsFor(const std::function<void()>& fn) {

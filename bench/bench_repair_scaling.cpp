@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "constraints/ground.h"
 #include "repair/engine.h"
 
 namespace {
@@ -138,6 +139,31 @@ BENCHMARK(BM_TranslateVsYears)
     ->Arg(4)
     ->Arg(16)
     ->Arg(64)
+    ->Unit(benchmark::kMillisecond);
+
+// Grounding alone: S(AC) of the cash-budget program over budgets of 25..200
+// years (10 tuples and 5 ground rows per year), the layer every detection
+// and repair pays before anything else.
+void BM_GroundVsYears(benchmark::State& state) {
+  const int years = static_cast<int>(state.range(0));
+  dart::bench::Scenario scenario =
+      dart::bench::MakeBudgetScenario(/*seed=*/45, years, /*num_errors=*/2);
+  size_t rows = 0;
+  for (auto _ : state) {
+    auto ground = dart::cons::GroundConstraintProgram(scenario.acquired,
+                                                      scenario.constraints);
+    DART_CHECK_MSG(ground.ok(), ground.status().ToString());
+    rows = ground->rows.size();
+    benchmark::DoNotOptimize(rows);
+  }
+  state.counters["ground_rows"] = static_cast<double>(rows);
+}
+
+BENCHMARK(BM_GroundVsYears)
+    ->Arg(25)
+    ->Arg(50)
+    ->Arg(100)
+    ->Arg(200)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

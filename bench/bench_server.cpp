@@ -130,6 +130,7 @@ BENCHMARK(BM_ServerSustainedLoad)
     ->Arg(4)
     ->Arg(8)
     ->ArgName("tenants")
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 double Percentile(std::vector<double> values, double p) {

@@ -18,6 +18,13 @@ import json
 import sys
 
 
+def row_name(name):
+    """google-benchmark appends "/real_time" to the names of UseRealTime()
+    rows; drop it so a row still matches its baseline after the switch
+    (real_time is recorded either way)."""
+    return name[: -len("/real_time")] if name.endswith("/real_time") else name
+
+
 def load_benchmarks(path):
     """Returns {benchmark name: real_time in ns} for aggregate-free entries."""
     try:
@@ -40,7 +47,7 @@ def load_benchmarks(path):
         if scale is None:
             print(f"error: unknown time_unit {unit!r} in {path}", file=sys.stderr)
             sys.exit(2)
-        out[name] = time * scale
+        out[row_name(name)] = time * scale
     return out
 
 

@@ -10,11 +10,28 @@ cmake --build build
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
+# Every bench binary runs under a 600 s wall-clock limit; one that runs out
+# is reported and fails the script at the very end, after the remaining
+# binaries and every gate below have run.
+# The names go to a file because run_bench also runs inside pipelines
+# (subshells).
+timed_out_file="$(mktemp)"
+trap 'rm -f "$timed_out_file"' EXIT
+run_bench() {
+  timeout 600 "$@"
+  local status=$?
+  if [ "$status" -eq 124 ]; then
+    echo "TIMEOUT: $(basename "$1") exceeded 600s" >&2
+    basename "$1" >> "$timed_out_file"
+  fi
+  return "$status"
+}
+
 : > bench_output.txt
 for b in build/bench/*; do
-  [ -x "$b" ] || continue
+  [ -f "$b" ] && [ -x "$b" ] || continue  # skips CMakeFiles/
   echo "===== $(basename "$b") =====" | tee -a bench_output.txt
-  "$b" 2>&1 | tee -a bench_output.txt
+  run_bench "$b" 2>&1 | tee -a bench_output.txt
   echo | tee -a bench_output.txt
 done
 
@@ -29,7 +46,7 @@ for name in $GBENCHES; do
   b="build/bench/$name"
   [ -x "$b" ] || continue
   echo "===== $name (json) ====="
-  "$b" --benchmark_format=json > "BENCH_${name}.json"
+  run_bench "$b" --benchmark_format=json > "BENCH_${name}.json"
 done
 
 # Regression gate: the fresh E1 sweep must stay within 1.3x of the committed
@@ -109,6 +126,11 @@ python3 scripts/trace_report.py slo SERVE_bench_server.status.json \
 # round-trip the end-to-end report.
 python3 scripts/trace_report.py chrome OBS_bench_end_to_end.trace.json \
   --out CHROME_bench_end_to_end.trace.json || exit 1
+
+if [ -s "$timed_out_file" ]; then
+  echo "FAILED: bench binaries timed out:" $(cat "$timed_out_file") >&2
+  exit 1
+fi
 
 echo "Done: test_output.txt, bench_output.txt, BENCH_*.json," \
   "OBS_*.trace.json, SERVE_bench_server.status.json," \

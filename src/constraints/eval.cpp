@@ -1,7 +1,10 @@
 #include "constraints/eval.h"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <set>
+#include <unordered_set>
 
 namespace dart::cons {
 
@@ -30,106 +33,212 @@ bool SatisfiesCompare(double lhs, CompareOp op, double rhs, double tolerance) {
 
 namespace {
 
-/// Tries to match `atom` against `tuple`, extending `binding`. On success
-/// records the variables newly bound (so the caller can backtrack).
-bool MatchAtom(const Atom& atom, const rel::Tuple& tuple, Binding* binding,
-               std::vector<std::string>* newly_bound) {
-  for (size_t i = 0; i < atom.args.size(); ++i) {
-    const TermArg& arg = atom.args[i];
-    if (arg.kind == TermArg::Kind::kConstant) {
-      if (!(arg.constant == tuple[i])) return false;
-    } else {
-      auto it = binding->find(arg.variable);
-      if (it == binding->end()) {
-        (*binding)[arg.variable] = tuple[i];
-        newly_bound->push_back(arg.variable);
-      } else if (!(it->second == tuple[i])) {
-        return false;
-      }
-    }
-  }
-  return true;
+/// A NaN equals nothing under `EvalCompare`, so it must never become (or
+/// look up) an index key.
+bool Unkeyable(const rel::Value& v) {
+  return v.is_real() && std::isnan(v.AsReal());
 }
 
-void EnumerateRec(const rel::Database& db, const std::vector<Atom>& atoms,
-                  size_t atom_index, Binding* binding,
-                  const std::vector<std::string>& project_vars,
-                  std::set<std::vector<rel::Value>>* seen,
-                  std::vector<Binding>* out) {
-  if (atom_index == atoms.size()) {
-    std::vector<rel::Value> key;
-    key.reserve(project_vars.size());
-    Binding projected;
-    for (const std::string& var : project_vars) {
-      auto it = binding->find(var);
-      // A projection variable not bound by φ can only arise from a validation
-      // bug; treat as null so it still dedups deterministically.
-      rel::Value v = it == binding->end() ? rel::Value() : it->second;
-      key.push_back(v);
-      projected[var] = std::move(v);
-    }
-    if (seen->insert(std::move(key)).second) {
-      out->push_back(std::move(projected));
-    }
-    return;
-  }
-  const Atom& atom = atoms[atom_index];
-  const rel::Relation* relation = db.FindRelation(atom.relation);
-  DART_CHECK_MSG(relation != nullptr,
-                 "grounding over relation missing from instance");
-  for (const rel::Tuple& tuple : relation->rows()) {
-    std::vector<std::string> newly_bound;
-    if (MatchAtom(atom, tuple, binding, &newly_bound)) {
-      EnumerateRec(db, atoms, atom_index + 1, binding, project_vars, seen, out);
-    }
-    for (const std::string& var : newly_bound) binding->erase(var);
-  }
+/// A hash that agrees with `rel::Value`'s `==`: numerics hash by their
+/// double value, so 2 and 2.0 (and 0.0 and -0.0) hash alike.
+size_t HashValue(const rel::Value& v) {
+  if (v.is_numeric()) return std::hash<double>{}(v.AsReal() + 0.0);
+  if (v.is_string()) return std::hash<std::string>{}(v.AsString());
+  return 0;
 }
 
-/// Resolves a WHERE operand against a tuple and parameter values.
-Result<rel::Value> ResolveOperand(const Operand& operand,
-                                  const rel::RelationSchema& schema,
-                                  const rel::Tuple& tuple,
-                                  const AggregationFunction& fn,
-                                  const std::vector<rel::Value>& param_values) {
-  switch (operand.kind) {
-    case Operand::Kind::kConstant:
-      return operand.constant;
-    case Operand::Kind::kAttribute: {
-      auto idx = schema.AttributeIndex(operand.name);
-      if (!idx) {
-        return Status::NotFound("attribute '" + operand.name + "' not in " +
-                                schema.ToString());
-      }
-      return tuple[*idx];
-    }
-    case Operand::Kind::kParameter: {
-      for (size_t i = 0; i < fn.parameters.size(); ++i) {
-        if (fn.parameters[i] == operand.name) return param_values[i];
-      }
-      return Status::NotFound("parameter '" + operand.name +
-                              "' not declared by function '" + fn.name + "'");
-    }
-  }
-  return Status::Internal("unknown operand kind");
+size_t CombineHash(size_t hash, const rel::Value& v) {
+  return hash * 1099511628211ull ^ HashValue(v);
 }
 
 }  // namespace
 
+size_t TupleIndex::KeyHash::operator()(
+    const std::vector<rel::Value>& key) const {
+  size_t hash = 0;
+  for (const rel::Value& v : key) hash = CombineHash(hash, v);
+  return hash;
+}
+
+TupleIndex::TupleIndex(const rel::Relation& relation,
+                       const std::vector<size_t>& attributes) {
+  std::vector<rel::Value> key(attributes.size());
+  for (size_t row = 0; row < relation.size(); ++row) {
+    const rel::Tuple& tuple = relation.row(row);
+    for (size_t k = 0; k < attributes.size(); ++k) {
+      key[k] = tuple[attributes[k]];
+    }
+    if (std::ranges::none_of(key, Unkeyable)) groups_[key].push_back(row);
+  }
+}
+
+std::span<const size_t> TupleIndex::Lookup(
+    const std::vector<rel::Value>& key) const {
+  auto it = groups_.find(key);
+  if (it == groups_.end()) return {};
+  return it->second;
+}
+
+Result<const TupleIndex*> TupleIndexCache::Get(
+    const std::string& relation, const std::vector<size_t>& attributes) {
+  auto it = indexes_.find({relation, attributes});
+  if (it != indexes_.end()) return &it->second;
+  const rel::Relation* rel = db_.FindRelation(relation);
+  if (rel == nullptr) {
+    return Status::NotFound("relation '" + relation +
+                            "' missing from database instance");
+  }
+  return &indexes_
+              .try_emplace({relation, attributes}, *rel, attributes)
+              .first->second;
+}
+
+namespace {
+
+/// One argument position of a premise atom, compiled against the variables
+/// of the premise (numbered in first-occurrence order): check a constant,
+/// bind a variable's first occurrence, or check a variable bound before.
+struct ArgStep {
+  enum class Kind { kConstant, kBind, kCheck };
+  Kind kind = Kind::kConstant;
+  size_t slot = 0;
+  const rel::Value* constant = nullptr;
+};
+
+/// One premise atom joined through an index on its `key_positions`: the
+/// constant arguments and the variables bound by earlier atoms.
+struct AtomJoin {
+  const rel::Relation* relation = nullptr;
+  const TupleIndex* index = nullptr;
+  std::vector<ArgStep> steps;  ///< one per argument position.
+  std::vector<size_t> key_positions;
+};
+
+/// Hashes and compares projections by value through the pointers, which
+/// point into the relations for as long as the enumeration runs. The hash
+/// agrees with `rel::Value`'s `==`: numerics hash by their double value, so
+/// 2 and 2.0 (and 0.0 and -0.0) land together.
+struct ProjectionHash {
+  size_t operator()(const std::vector<const rel::Value*>& projection) const {
+    size_t hash = 0;
+    for (const rel::Value* v : projection) hash = CombineHash(hash, *v);
+    return hash;
+  }
+};
+struct ProjectionEq {
+  bool operator()(const std::vector<const rel::Value*>& a,
+                  const std::vector<const rel::Value*>& b) const {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const rel::Value* x, const rel::Value* y) {
+                        return *x == *y;
+                      });
+  }
+};
+
+struct Enumeration {
+  std::vector<AtomJoin> joins;
+  std::vector<std::string> project_vars;
+  /// Slot of each projected variable; -1 when φ does not bind it (a
+  /// validation bug) — projected as null so it still dedups
+  /// deterministically.
+  std::vector<int> project_slots;
+  std::vector<const rel::Value*> slots;  ///< current substitution θ.
+  std::unordered_set<std::vector<const rel::Value*>, ProjectionHash,
+                     ProjectionEq>
+      seen;
+  std::vector<const rel::Value*> projection;  ///< scratch for the leaf.
+  std::vector<Binding> out;
+
+  void Run(size_t atom_index) {
+    static const rel::Value kNull;
+    if (atom_index == joins.size()) {
+      projection.clear();
+      for (int slot : project_slots) {
+        projection.push_back(slot < 0 ? &kNull
+                                      : slots[static_cast<size_t>(slot)]);
+      }
+      if (!seen.insert(projection).second) return;
+      Binding projected;
+      for (size_t i = 0; i < project_vars.size(); ++i) {
+        projected[project_vars[i]] = *projection[i];
+      }
+      out.push_back(std::move(projected));
+      return;
+    }
+    const AtomJoin& join = joins[atom_index];
+    std::vector<rel::Value> key;
+    key.reserve(join.key_positions.size());
+    for (size_t position : join.key_positions) {
+      const ArgStep& step = join.steps[position];
+      key.push_back(step.kind == ArgStep::Kind::kConstant ? *step.constant
+                                                          : *slots[step.slot]);
+    }
+    // The index already agrees on the key positions; the steps bind the
+    // rest (and re-check the key, harmlessly).
+    for (size_t row : join.index->Lookup(key)) {
+      const rel::Tuple& tuple = join.relation->row(row);
+      bool matches = true;
+      for (size_t i = 0; matches && i < join.steps.size(); ++i) {
+        const ArgStep& step = join.steps[i];
+        switch (step.kind) {
+          case ArgStep::Kind::kConstant:
+            matches = *step.constant == tuple[i];
+            break;
+          case ArgStep::Kind::kBind:
+            slots[step.slot] = &tuple[i];
+            break;
+          case ArgStep::Kind::kCheck:
+            matches = *slots[step.slot] == tuple[i];
+            break;
+        }
+      }
+      if (matches) Run(atom_index + 1);
+    }
+  }
+};
+
+}  // namespace
+
 Result<std::vector<Binding>> GroundSubstitutions(
-    const rel::Database& db, const std::vector<Atom>& atoms,
+    TupleIndexCache* indexes, const std::vector<Atom>& atoms,
     const std::vector<std::string>& project_vars) {
+  Enumeration enumeration;
+  std::map<std::string, size_t> slot_of;
   for (const Atom& atom : atoms) {
-    if (db.FindRelation(atom.relation) == nullptr) {
+    AtomJoin join;
+    join.relation = indexes->db().FindRelation(atom.relation);
+    if (join.relation == nullptr) {
       return Status::NotFound("relation '" + atom.relation +
                               "' missing from database instance");
     }
+    const size_t bound_before = slot_of.size();
+    for (size_t i = 0; i < atom.args.size(); ++i) {
+      const TermArg& arg = atom.args[i];
+      ArgStep step;
+      if (arg.kind == TermArg::Kind::kConstant) {
+        step.constant = &arg.constant;
+        join.key_positions.push_back(i);
+      } else {
+        auto [it, fresh] = slot_of.try_emplace(arg.variable, slot_of.size());
+        step.kind = fresh ? ArgStep::Kind::kBind : ArgStep::Kind::kCheck;
+        step.slot = it->second;
+        if (step.slot < bound_before) join.key_positions.push_back(i);
+      }
+      join.steps.push_back(step);
+    }
+    DART_ASSIGN_OR_RETURN(join.index,
+                          indexes->Get(atom.relation, join.key_positions));
+    enumeration.joins.push_back(std::move(join));
   }
-  std::vector<Binding> out;
-  std::set<std::vector<rel::Value>> seen;
-  Binding binding;
-  EnumerateRec(db, atoms, 0, &binding, project_vars, &seen, &out);
-  return out;
+  enumeration.project_vars = project_vars;
+  for (const std::string& var : project_vars) {
+    auto it = slot_of.find(var);
+    enumeration.project_slots.push_back(
+        it == slot_of.end() ? -1 : static_cast<int>(it->second));
+  }
+  enumeration.slots.assign(slot_of.size(), nullptr);
+  enumeration.Run(0);
+  return std::move(enumeration.out);
 }
 
 Result<std::vector<rel::Value>> ResolveCallArgs(const AggregateTerm& term,
@@ -151,106 +260,120 @@ Result<std::vector<rel::Value>> ResolveCallArgs(const AggregateTerm& term,
   return out;
 }
 
-Result<std::vector<size_t>> AggregationTupleSet(
-    const rel::Database& db, const AggregationFunction& fn,
-    const std::vector<rel::Value>& param_values) {
-  if (param_values.size() != fn.parameters.size()) {
-    return Status::InvalidArgument(
-        "function '" + fn.name + "' expects " +
-        std::to_string(fn.parameters.size()) + " parameters, got " +
-        std::to_string(param_values.size()));
+const rel::Value& AggregationPlan::Source::Get(
+    const rel::Tuple& tuple, const std::vector<rel::Value>& params) const {
+  switch (kind) {
+    case Operand::Kind::kAttribute: return tuple[index];
+    case Operand::Kind::kParameter: return params[index];
+    case Operand::Kind::kConstant: break;
   }
-  const rel::Relation* relation = db.FindRelation(fn.relation);
-  if (relation == nullptr) {
+  return constant;
+}
+
+Result<AggregationPlan> AggregationPlan::Compile(const AggregationFunction& fn,
+                                                 TupleIndexCache* indexes) {
+  AggregationPlan plan;
+  plan.fn_ = &fn;
+  plan.relation_ = indexes->db().FindRelation(fn.relation);
+  if (plan.relation_ == nullptr) {
     return Status::NotFound("relation '" + fn.relation +
                             "' missing from database instance");
   }
-  std::vector<size_t> out;
-  for (size_t row = 0; row < relation->size(); ++row) {
-    const rel::Tuple& tuple = relation->row(row);
-    bool matches = true;
-    for (const Comparison& cmp : fn.where) {
-      DART_ASSIGN_OR_RETURN(
-          rel::Value lhs,
-          ResolveOperand(cmp.lhs, relation->schema(), tuple, fn, param_values));
-      DART_ASSIGN_OR_RETURN(
-          rel::Value rhs,
-          ResolveOperand(cmp.rhs, relation->schema(), tuple, fn, param_values));
-      if (!EvalCompare(lhs, cmp.op, rhs)) {
-        matches = false;
-        break;
+  const rel::RelationSchema& schema = plan.relation_->schema();
+  DART_RETURN_IF_ERROR(fn.expr->Linearize(schema, &plan.form_, 1.0));
+
+  auto resolve = [&](const Operand& operand) -> Result<Source> {
+    Source source;
+    source.kind = operand.kind;
+    switch (operand.kind) {
+      case Operand::Kind::kConstant:
+        source.constant = operand.constant;
+        return source;
+      case Operand::Kind::kAttribute: {
+        auto idx = schema.AttributeIndex(operand.name);
+        if (!idx) {
+          return Status::NotFound("attribute '" + operand.name + "' not in " +
+                                  schema.ToString());
+        }
+        source.index = *idx;
+        return source;
+      }
+      case Operand::Kind::kParameter: {
+        for (size_t i = 0; i < fn.parameters.size(); ++i) {
+          if (fn.parameters[i] == operand.name) {
+            source.index = i;
+            return source;
+          }
+        }
+        return Status::NotFound("parameter '" + operand.name +
+                                "' not declared by function '" + fn.name +
+                                "'");
       }
     }
+    return Status::Internal("unknown operand kind");
+  };
+
+  std::vector<size_t> key_attributes;
+  for (const Comparison& cmp : fn.where) {
+    DART_ASSIGN_OR_RETURN(Source lhs, resolve(cmp.lhs));
+    DART_ASSIGN_OR_RETURN(Source rhs, resolve(cmp.rhs));
+    if (cmp.op == CompareOp::kEq &&
+        (lhs.kind == Operand::Kind::kAttribute) !=
+            (rhs.kind == Operand::Kind::kAttribute)) {
+      // `=` is symmetric: key the attribute side on the other one.
+      if (rhs.kind == Operand::Kind::kAttribute) std::swap(lhs, rhs);
+      key_attributes.push_back(lhs.index);
+      plan.key_.push_back(std::move(rhs));
+    } else {
+      plan.residual_.push_back(
+          Residual{std::move(lhs), cmp.op, std::move(rhs)});
+    }
+  }
+  DART_ASSIGN_OR_RETURN(plan.index_,
+                        indexes->Get(fn.relation, key_attributes));
+  return plan;
+}
+
+Result<std::vector<size_t>> AggregationPlan::TupleSet(
+    const std::vector<rel::Value>& param_values) const {
+  if (param_values.size() != fn_->parameters.size()) {
+    return Status::InvalidArgument(
+        "function '" + fn_->name + "' expects " +
+        std::to_string(fn_->parameters.size()) + " parameters, got " +
+        std::to_string(param_values.size()));
+  }
+  static const rel::Tuple kNoTuple;  // key sources are never attributes.
+  std::vector<rel::Value> key;
+  key.reserve(key_.size());
+  for (const Source& source : key_) {
+    key.push_back(source.Get(kNoTuple, param_values));
+  }
+  std::vector<size_t> out;
+  for (size_t row : index_->Lookup(key)) {
+    const rel::Tuple& tuple = relation_->row(row);
+    const bool matches = std::all_of(
+        residual_.begin(), residual_.end(), [&](const Residual& cmp) {
+          return EvalCompare(cmp.lhs.Get(tuple, param_values), cmp.op,
+                             cmp.rhs.Get(tuple, param_values));
+        });
     if (matches) out.push_back(row);
   }
   return out;
 }
 
-Result<double> EvaluateAggregation(
+Result<std::vector<size_t>> AggregationTupleSet(
     const rel::Database& db, const AggregationFunction& fn,
     const std::vector<rel::Value>& param_values) {
-  DART_ASSIGN_OR_RETURN(std::vector<size_t> tuple_set,
-                        AggregationTupleSet(db, fn, param_values));
-  const rel::Relation* relation = db.FindRelation(fn.relation);
-  LinearForm form;
-  DART_RETURN_IF_ERROR(fn.expr->Linearize(relation->schema(), &form, 1.0));
-  double total = 0;
-  for (size_t row : tuple_set) {
-    double value = form.constant;
-    for (const auto& [attr, coeff] : form.coefficients) {
-      const rel::Value& v = relation->At(row, attr);
-      if (!v.is_numeric()) {
-        return Status::InvalidArgument(
-            "non-numeric value in summed attribute of '" + fn.name + "'");
-      }
-      value += coeff * v.AsReal();
-    }
-    total += value;
-  }
-  return total;
+  TupleIndexCache indexes(db);
+  DART_ASSIGN_OR_RETURN(AggregationPlan plan,
+                        AggregationPlan::Compile(fn, &indexes));
+  return plan.TupleSet(param_values);
 }
 
 std::string Violation::ToString() const {
   return constraint + " " + BindingToString(binding) + ": " +
          std::to_string(lhs) + " " + CompareOpName(op) + " " +
          std::to_string(rhs) + " violated";
-}
-
-Result<std::vector<Violation>> ConsistencyChecker::Check(
-    const rel::Database& db) const {
-  std::vector<Violation> out;
-  for (const AggregateConstraint& constraint : constraints_->constraints()) {
-    std::vector<std::string> project = TermVariables(constraint);
-    DART_ASSIGN_OR_RETURN(
-        std::vector<Binding> bindings,
-        GroundSubstitutions(db, constraint.premise, project));
-    for (const Binding& binding : bindings) {
-      double lhs = 0;
-      for (const AggregateTerm& term : constraint.terms) {
-        const AggregationFunction* fn =
-            constraints_->FindFunction(term.function);
-        if (fn == nullptr) {
-          return Status::Internal("dangling function reference '" +
-                                  term.function + "'");
-        }
-        DART_ASSIGN_OR_RETURN(std::vector<rel::Value> params,
-                              ResolveCallArgs(term, binding));
-        DART_ASSIGN_OR_RETURN(double value,
-                              EvaluateAggregation(db, *fn, params));
-        lhs += term.coefficient * value;
-      }
-      if (!SatisfiesCompare(lhs, constraint.op, constraint.rhs)) {
-        out.push_back(Violation{constraint.name, binding, lhs, constraint.op,
-                                constraint.rhs});
-      }
-    }
-  }
-  return out;
-}
-
-Result<bool> ConsistencyChecker::IsConsistent(const rel::Database& db) const {
-  DART_ASSIGN_OR_RETURN(std::vector<Violation> violations, Check(db));
-  return violations.empty();
 }
 
 std::vector<std::string> TermVariables(const AggregateConstraint& constraint) {

@@ -1,7 +1,10 @@
 #pragma once
 
 #include <map>
+#include <span>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "constraints/ast.h"
@@ -9,10 +12,10 @@
 #include "util/status.h"
 
 /// \file eval.h
-/// Grounding and evaluation of aggregate constraints: enumerating the ground
-/// substitutions θ of a premise φ over a database instance, computing the
-/// tuple sets T_χ and values of aggregation functions, and checking
-/// D ⊨ AC / D ⊭ AC with a detailed violation report.
+/// Grounding primitives of aggregate constraints: tuple indexes over a
+/// database instance, the ground substitutions θ of a premise φ, and the
+/// tuple sets T_χ of aggregation functions; plus the D ⊨ AC / D ⊭ AC check
+/// with a detailed violation report.
 
 namespace dart::cons {
 
@@ -26,13 +29,57 @@ std::string BindingToString(const Binding& binding);
 bool SatisfiesCompare(double lhs, CompareOp op, double rhs,
                       double tolerance = 1e-6);
 
-/// Enumerates the ground substitutions of `atoms` over `db`, projected onto
-/// `project_vars` and deduplicated. A projected binding appears in the result
-/// iff it extends to a full substitution making every atom true.
+/// Row ids of one relation grouped by the values of a fixed attribute list.
+/// Keys compare with `rel::Value`'s `==`, which is exactly `EvalCompare`'s
+/// `=`: 2 finds 2.0, a string never finds a number, and a NaN (equal to
+/// nothing) is never indexed and never found.
+class TupleIndex {
+ public:
+  TupleIndex(const rel::Relation& relation,
+             const std::vector<size_t>& attributes);
+
+  /// Ids of the rows whose key attributes equal `key` (one value per
+  /// attribute, in order), ascending.
+  std::span<const size_t> Lookup(const std::vector<rel::Value>& key) const;
+
+ private:
+  /// A hash that agrees with `==`: numerics hash by their double value.
+  struct KeyHash {
+    size_t operator()(const std::vector<rel::Value>& key) const;
+  };
+
+  std::unordered_map<std::vector<rel::Value>, std::vector<size_t>, KeyHash>
+      groups_;
+};
+
+/// The tuple indexes over one database instance: one per (relation,
+/// attribute list), built on first use and shared by every premise atom and
+/// aggregation function keyed the same way. The database must outlive the
+/// cache and stay unchanged while it is used.
+class TupleIndexCache {
+ public:
+  explicit TupleIndexCache(const rel::Database& db) : db_(db) {}
+
+  const rel::Database& db() const { return db_; }
+
+  /// NotFound if the relation is missing from the instance.
+  Result<const TupleIndex*> Get(const std::string& relation,
+                                const std::vector<size_t>& attributes);
+
+ private:
+  const rel::Database& db_;
+  std::map<std::pair<std::string, std::vector<size_t>>, TupleIndex> indexes_;
+};
+
+/// Enumerates the ground substitutions of `atoms` over the indexed database,
+/// projected onto `project_vars` and deduplicated. A projected binding
+/// appears in the result iff it extends to a full substitution making every
+/// atom true. Each atom is joined through an index on its constants and on
+/// the variables earlier atoms bound, so only matching rows are visited.
 ///
 /// Variables not listed in `project_vars` act as the paper's '_' wildcards.
 Result<std::vector<Binding>> GroundSubstitutions(
-    const rel::Database& db, const std::vector<Atom>& atoms,
+    TupleIndexCache* indexes, const std::vector<Atom>& atoms,
     const std::vector<std::string>& project_vars);
 
 /// Resolves the call-site arguments Xᵢ of `term` under `binding` into
@@ -40,18 +87,58 @@ Result<std::vector<Binding>> GroundSubstitutions(
 Result<std::vector<rel::Value>> ResolveCallArgs(const AggregateTerm& term,
                                                 const Binding& binding);
 
-/// T_χ: indices of the tuples of χ's relation satisfying the WHERE clause
-/// under the given parameter values (paper Sec. 5).
+/// An aggregation function χ compiled against one database: the WHERE
+/// conjunction split into equalities `Attr = param` / `Attr = const`, which
+/// key a tuple index, and a residual of every other comparison, which
+/// filters the rows the index returns; the summed expression linearized.
+class AggregationPlan {
+ public:
+  /// The plan refers to `fn` and to an index in `indexes`; both must
+  /// outlive it.
+  static Result<AggregationPlan> Compile(const AggregationFunction& fn,
+                                         TupleIndexCache* indexes);
+
+  /// T_χ: ids of the tuples of χ's relation satisfying the WHERE clause
+  /// under `param_values`, ascending (paper Sec. 5).
+  Result<std::vector<size_t>> TupleSet(
+      const std::vector<rel::Value>& param_values) const;
+
+  const AggregationFunction& function() const { return *fn_; }
+  const rel::Relation& relation() const { return *relation_; }
+  /// The summed expression e over `relation()`'s attributes.
+  const LinearForm& form() const { return form_; }
+
+ private:
+  /// A WHERE operand resolved to a constant, an attribute index or a
+  /// parameter index.
+  struct Source {
+    Operand::Kind kind = Operand::Kind::kConstant;
+    size_t index = 0;
+    rel::Value constant;
+
+    const rel::Value& Get(const rel::Tuple& tuple,
+                          const std::vector<rel::Value>& params) const;
+  };
+  struct Residual {
+    Source lhs;
+    CompareOp op = CompareOp::kEq;
+    Source rhs;
+  };
+
+  AggregationPlan() = default;
+
+  const AggregationFunction* fn_ = nullptr;
+  const rel::Relation* relation_ = nullptr;
+  LinearForm form_;
+  const TupleIndex* index_ = nullptr;
+  std::vector<Source> key_;  ///< one per index attribute: constant or param.
+  std::vector<Residual> residual_;
+};
+
+/// T_χ for one call: compiles `fn` over a private index and looks up once.
 Result<std::vector<size_t>> AggregationTupleSet(
     const rel::Database& db, const AggregationFunction& fn,
     const std::vector<rel::Value>& param_values);
-
-/// Evaluates χ(param_values) on `db`: the sum of the attribute expression
-/// over T_χ (0 for an empty tuple set, matching SQL-sum-over-no-rows being
-/// treated as 0 by the paper's examples).
-Result<double> EvaluateAggregation(const rel::Database& db,
-                                   const AggregationFunction& fn,
-                                   const std::vector<rel::Value>& param_values);
 
 /// One violated ground instance of a constraint.
 struct Violation {
@@ -64,7 +151,9 @@ struct Violation {
   std::string ToString() const;
 };
 
-/// Checks a database against a constraint set.
+/// Checks a database against a steady constraint set: grounds it
+/// (`GroundConstraintProgram`) and evaluates the ground rows
+/// (`EvaluateGroundProgram`); both live in ground.{h,cpp}.
 class ConsistencyChecker {
  public:
   explicit ConsistencyChecker(const ConstraintSet* constraints)

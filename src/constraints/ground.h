@@ -13,16 +13,19 @@
 /// Shared grounding of an aggregate-constraint program against one database
 /// instance: S(AC) as data, independent of what consumes it.
 ///
-/// Grounding — enumerating premise substitutions and folding every steady
-/// (non-measure) attribute into constants — used to happen twice per
-/// repaired document: once inside `ConsistencyChecker::Check` for violation
-/// detection and once inside `TranslateToMilp` per big-M attempt. A
-/// `GroundProgram` is the one shared artifact: the consistency check is a
-/// linear evaluation of its rows at the database's current measure values,
-/// and the MILP translation replaces those values with z variables. By
-/// steadiness (Def. 6 of the paper), T_χ and the folded constants are
-/// invariant under any repair, so one `GroundProgram` stays valid for the
-/// original database, every repair candidate, and the final verification.
+/// Grounding enumerates premise substitutions and folds every steady
+/// (non-measure) attribute into constants. A `GroundProgram` is the one
+/// shared artifact: the consistency check (`ConsistencyChecker`, detection,
+/// verification) is a linear evaluation of its rows at the database's
+/// current measure values, and the MILP translation replaces those values
+/// with z variables. By steadiness (Def. 6 of the paper), T_χ and the
+/// folded constants are invariant under any repair, so one `GroundProgram`
+/// stays valid for the original database, every repair candidate, and the
+/// final verification.
+///
+/// Grounding reads the database through tuple indexes (eval.h), one per
+/// (relation, WHERE/join key attributes), so its cost grows near-linearly
+/// with the database instead of with its square.
 
 namespace dart::cons {
 
@@ -50,16 +53,20 @@ struct GroundProgram {
   double max_abs_factor = 1;
 };
 
-/// Grounds `constraints` against `db`. Fails on non-steady constraint sets
-/// (grounding would not survive repairs), dangling aggregation functions,
-/// missing relations, and non-numeric summed attributes.
+/// Grounds `constraints` against `db`, building each tuple index and each
+/// function's `AggregationPlan` once for the call. Rows come out in
+/// constraint order, then substitution first-occurrence order, with
+/// coefficients accumulated in ascending row order. Fails on non-steady
+/// constraint sets (grounding would not survive repairs), dangling
+/// aggregation functions, missing relations, and non-numeric summed
+/// attributes.
 Result<GroundProgram> GroundConstraintProgram(
     const rel::Database& db, const ConstraintSet& constraints);
 
 /// Evaluates the ground rows at `db`'s current measure values and returns
-/// the violated instances, in row (= constraint, then substitution) order —
-/// the same order `ConsistencyChecker::Check` reports. Violations carry the
-/// constraint's original lhs/rhs space, not the shifted row space.
+/// the violated instances, in row (= constraint, then substitution) order.
+/// `ConsistencyChecker::Check` is this over a fresh grounding. Violations
+/// carry the constraint's original lhs/rhs space, not the shifted row space.
 Result<std::vector<Violation>> EvaluateGroundProgram(
     const rel::Database& db, const GroundProgram& program);
 

@@ -137,9 +137,8 @@ Result<QueryInterval> ConsistentAggregateAnswer(
 
   // Express the query as a linear form over z variables: for every tuple of
   // T_χ, measure attributes map to z, non-measure numerics are constants —
-  // the same steadiness argument as the constraint translation.
-  DART_ASSIGN_OR_RETURN(double acquired_value,
-                        cons::EvaluateAggregation(db, *fn, params));
+  // the same steadiness argument as the constraint translation. The same
+  // pass evaluates the query on the acquired database.
   DART_ASSIGN_OR_RETURN(std::vector<size_t> tuple_set,
                         cons::AggregationTupleSet(db, *fn, params));
   const rel::Relation* relation = db.FindRelation(fn->relation);
@@ -148,9 +147,16 @@ Result<QueryInterval> ConsistentAggregateAnswer(
 
   std::vector<milp::LinearTerm> objective;
   double objective_constant = 0;
+  double measure_value = 0;
   for (size_t t : tuple_set) {
     objective_constant += form.constant;
     for (const auto& [attr, coeff] : form.coefficients) {
+      const rel::Value& v = relation->At(t, attr);
+      if (!v.is_numeric()) {
+        return Status::InvalidArgument(
+            "non-numeric value under the summed expression of '" +
+            function_name + "'");
+      }
       if (relation->schema().attribute(attr).is_measure) {
         const int index =
             translation.CellIndex(rel::CellRef{fn->relation, t, attr});
@@ -158,20 +164,15 @@ Result<QueryInterval> ConsistentAggregateAnswer(
                        "unrestricted translation must cover every measure cell");
         objective.push_back(
             {translation.z_vars[static_cast<size_t>(index)], coeff});
+        measure_value += coeff * v.AsReal();
       } else {
-        const rel::Value& v = relation->At(t, attr);
-        if (!v.is_numeric()) {
-          return Status::InvalidArgument(
-              "non-numeric value under the summed expression of '" +
-              function_name + "'");
-        }
         objective_constant += coeff * v.AsReal();
       }
     }
   }
 
   QueryInterval interval;
-  interval.value_on_acquired = acquired_value;
+  interval.value_on_acquired = objective_constant + measure_value;
   milp::MilpOptions milp_options = options.milp;
   int64_t solves = 0;
   DART_ASSIGN_OR_RETURN(

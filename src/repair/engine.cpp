@@ -326,6 +326,7 @@ Result<RepairOutcome> RepairEngine::ComputeRepair(
   // verification all evaluate the same ground program.
   cons::GroundProgram own_ground;
   if (ground == nullptr) {
+    obs::Span ground_span(run, "repair.ground");
     DART_ASSIGN_OR_RETURN(own_ground,
                           cons::GroundConstraintProgram(db, constraints));
     obs::Count(run, "repair.groundings");

@@ -29,10 +29,21 @@ int IncrementalRepairSession::num_components() const {
   return initialized_ ? decomposition_.num_components() : 0;
 }
 
+Status IncrementalRepairSession::Ground(obs::RunContext* run) {
+  if (ground_) return Status::Ok();
+  obs::Span ground_span(run, "repair.ground");
+  DART_ASSIGN_OR_RETURN(cons::GroundProgram ground,
+                        cons::GroundConstraintProgram(*db_, *constraints_));
+  obs::Count(run, "repair.groundings");
+  ground_ = std::move(ground);
+  return Status::Ok();
+}
+
 Status IncrementalRepairSession::Initialize(obs::RunContext* run) {
+  DART_RETURN_IF_ERROR(Ground(run));
   obs::Span translate_span(run, "repair.translate");
   DART_ASSIGN_OR_RETURN(
-      translation_, TranslateToMilp(*db_, *constraints_, options_.translator));
+      translation_, TranslateGrounded(*db_, *ground_, options_.translator));
   translate_span.End();
 
   decomposition_ = milp::DecomposeModel(translation_.model);
@@ -164,9 +175,10 @@ Result<RepairOutcome> IncrementalRepairSession::ComputeRepair(
 
   // Fast path shared with the engine: already consistent and nothing pinned.
   if (fixed_values.empty()) {
-    cons::ConsistencyChecker checker(constraints_);
-    DART_ASSIGN_OR_RETURN(bool consistent, checker.IsConsistent(*db_));
-    if (consistent) {
+    DART_RETURN_IF_ERROR(Ground(run));
+    DART_ASSIGN_OR_RETURN(std::vector<cons::Violation> violations,
+                          cons::EvaluateGroundProgram(*db_, *ground_));
+    if (violations.empty()) {
       outcome.already_consistent = true;
       return outcome;
     }

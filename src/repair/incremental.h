@@ -1,9 +1,11 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "constraints/ast.h"
+#include "constraints/ground.h"
 #include "milp/decompose.h"
 #include "repair/engine.h"
 #include "repair/translator.h"
@@ -98,6 +100,9 @@ class IncrementalRepairSession {
     bool dirty = true;
   };
 
+  /// Grounds S(AC) once per session; by steadiness the ground program
+  /// stays valid for every call's fast path, translation and verification.
+  Status Ground(obs::RunContext* run);
   Status Initialize(obs::RunContext* run);
   Status ApplyPinDiff(const std::vector<FixedValue>& fixed_values);
   /// Enlarges `component`'s big-M ×100 in place (y boxes, big-M row
@@ -108,6 +113,7 @@ class IncrementalRepairSession {
   const cons::ConstraintSet* constraints_;
   RepairEngineOptions options_;
 
+  std::optional<cons::GroundProgram> ground_;
   bool initialized_ = false;
   Translation translation_;
   milp::Decomposition decomposition_;

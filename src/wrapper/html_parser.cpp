@@ -59,7 +59,10 @@ bool ParseTag(const std::string& html, size_t* pos, Tag* tag) {
       *pos = i;
       return true;
     }
-    if (std::isspace(static_cast<unsigned char>(html[i]))) {
+    // A '/' not closing the tag is skipped like whitespace (as HTML5 does);
+    // left in place it would end every key empty and stall the loop.
+    if (html[i] == '/' ||
+        std::isspace(static_cast<unsigned char>(html[i]))) {
       ++i;
       continue;
     }

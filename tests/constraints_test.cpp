@@ -15,6 +15,25 @@ namespace {
 
 using ocr::CashBudgetFixture;
 
+/// χ(params) on `db`: the summed expression over T_χ, computed here from the
+/// tuple set so the χ values of Example 2 are checked directly.
+Result<double> ChiValue(const rel::Database& db, const AggregationFunction& fn,
+                        const std::vector<rel::Value>& params) {
+  DART_ASSIGN_OR_RETURN(std::vector<size_t> rows,
+                        AggregationTupleSet(db, fn, params));
+  const rel::Relation* relation = db.FindRelation(fn.relation);
+  LinearForm form;
+  DART_RETURN_IF_ERROR(fn.expr->Linearize(relation->schema(), &form, 1.0));
+  double total = 0;
+  for (size_t row : rows) {
+    total += form.constant;
+    for (const auto& [attr, coeff] : form.coefficients) {
+      total += coeff * relation->At(row, attr).AsReal();
+    }
+  }
+  return total;
+}
+
 class RunningExampleTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -46,13 +65,13 @@ TEST_F(RunningExampleTest, ParserRegistersEverything) {
 
 TEST_F(RunningExampleTest, Chi1ValuesOfExample2) {
   // χ₁('Receipts', 2003, 'det') = 100 + 120 = 220.
-  auto value = EvaluateAggregation(
+  auto value = ChiValue(
       db_, chi("chi1"),
       {rel::Value("Receipts"), rel::Value(2003), rel::Value("det")});
   ASSERT_TRUE(value.ok()) << value.status().ToString();
   EXPECT_DOUBLE_EQ(*value, 220);
   // χ₁('Disbursements', 2003, 'aggr') = 160.
-  value = EvaluateAggregation(
+  value = ChiValue(
       db_, chi("chi1"),
       {rel::Value("Disbursements"), rel::Value(2003), rel::Value("aggr")});
   ASSERT_TRUE(value.ok());
@@ -61,19 +80,19 @@ TEST_F(RunningExampleTest, Chi1ValuesOfExample2) {
 
 TEST_F(RunningExampleTest, Chi2ValuesOfExample2) {
   // χ₂(2003, 'cash sales') = 100.
-  auto value = EvaluateAggregation(
+  auto value = ChiValue(
       db_, chi("chi2"), {rel::Value(2003), rel::Value("cash sales")});
   ASSERT_TRUE(value.ok());
   EXPECT_DOUBLE_EQ(*value, 100);
   // χ₂(2004, 'net cash inflow') = 10.
-  value = EvaluateAggregation(
+  value = ChiValue(
       db_, chi("chi2"), {rel::Value(2004), rel::Value("net cash inflow")});
   ASSERT_TRUE(value.ok());
   EXPECT_DOUBLE_EQ(*value, 10);
 }
 
 TEST_F(RunningExampleTest, EmptyTupleSetSumsToZero) {
-  auto value = EvaluateAggregation(
+  auto value = ChiValue(
       db_, chi("chi2"), {rel::Value(2099), rel::Value("cash sales")});
   ASSERT_TRUE(value.ok());
   EXPECT_DOUBLE_EQ(*value, 0);
@@ -111,14 +130,15 @@ TEST_F(RunningExampleTest, CleanDatabaseIsConsistent) {
 TEST_F(RunningExampleTest, GroundingProjectsAndDedupes) {
   // Constraint 1 projects onto (x, y): 3 sections × 2 years = 6 bindings,
   // even though 20 tuples satisfy the premise.
+  TupleIndexCache indexes(db_);
   const AggregateConstraint& c1 = constraints_.constraints()[0];
   auto bindings =
-      GroundSubstitutions(db_, c1.premise, TermVariables(c1));
+      GroundSubstitutions(&indexes, c1.premise, TermVariables(c1));
   ASSERT_TRUE(bindings.ok());
   EXPECT_EQ(bindings->size(), 6u);
   // Constraint 2 projects onto (x): 2 years.
   const AggregateConstraint& c2 = constraints_.constraints()[1];
-  bindings = GroundSubstitutions(db_, c2.premise, TermVariables(c2));
+  bindings = GroundSubstitutions(&indexes, c2.premise, TermVariables(c2));
   ASSERT_TRUE(bindings.ok());
   EXPECT_EQ(bindings->size(), 2u);
 }

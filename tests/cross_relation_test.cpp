@@ -81,7 +81,8 @@ TEST_F(CrossRelationTest, ConsistentWhenStatementsMatch) {
 
 TEST_F(CrossRelationTest, GroundingJoinsOnSharedYear) {
   const cons::AggregateConstraint& constraint = constraints_.constraints()[0];
-  auto bindings = cons::GroundSubstitutions(db_, constraint.premise,
+  cons::TupleIndexCache indexes(db_);
+  auto bindings = cons::GroundSubstitutions(&indexes, constraint.premise,
                                             cons::TermVariables(constraint));
   ASSERT_TRUE(bindings.ok());
   EXPECT_EQ(bindings->size(), 2u);  // one per matching year

@@ -80,6 +80,24 @@ TEST(HtmlParserTest, UnclosedTableRecovered) {
   EXPECT_EQ((*tables)[0].rows[0][0].text, "x");
 }
 
+// A '/' inside a tag that does not close it used to stall the attribute
+// loop forever; both inputs must now parse.
+TEST(HtmlParserTest, StraySlashInTagTerminates) {
+  auto tables = ParseHtmlTables("<table><tr><td /x>1</td></tr></table>");
+  ASSERT_TRUE(tables.ok());
+  ASSERT_EQ(tables->size(), 1u);
+  EXPECT_EQ((*tables)[0].rows[0][0].text, "1");
+
+  tables = ParseHtmlTables("<table><tr><td a/b>2</td></tr></table>");
+  ASSERT_TRUE(tables.ok());
+  ASSERT_EQ(tables->size(), 1u);
+  EXPECT_EQ((*tables)[0].rows[0][0].text, "2");
+
+  // The same slash at the end of the input, with no '>' to stop at.
+  tables = ParseHtmlTables("<table><tr><td>3<td a/");
+  EXPECT_TRUE(tables.ok());
+}
+
 TEST(HtmlParserTest, EscapeRoundTrip) {
   const std::string nasty = "a<b>&\"c'";
   EXPECT_EQ(DecodeEntities(EscapeHtml(nasty)), nasty);
