@@ -1,7 +1,9 @@
 // Experiment E9 (EXPERIMENTS.md): whole-pipeline throughput and the
 // human-intervention headline number. Part 1 (google-benchmark): documents
 // per second through acquire→extract→generate→detect→repair for clean and
-// noisy documents. Part 2 (table): over a corpus of noisy documents, the
+// noisy documents, the acquire stage alone (parse → grid → msi() matching →
+// generation) against document size, and the grid expansion of one tall
+// table. Part 2 (table): over a corpus of noisy documents, the
 // fraction of acquired values a human must still look at with DART
 // (supervised loop examinations) vs without DART (every value, since any
 // cell could be wrong) — the effort reduction the paper's introduction
@@ -16,6 +18,7 @@
 #include "obs/context.h"
 #include "obs/exporter.h"
 #include "util/table_printer.h"
+#include "wrapper/table_grid.h"
 
 using namespace dart;
 
@@ -81,6 +84,69 @@ BENCHMARK(BM_ProcessNoisyDocument)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
+// Acquire alone: DartPipeline::Acquire on a budget of range(0) years, one
+// table of ~10 rows per year. range(1) = 1 corrupts 30% of the Section and
+// Subsection strings (and 8% of the values), so the msi() lookup falls back
+// to its similarity scan for those cells; clean documents spell every item
+// verbatim.
+void BM_AcquireVsYears(benchmark::State& state) {
+  Rng rng(3);
+  ocr::CashBudgetOptions options;
+  options.num_years = static_cast<int>(state.range(0));
+  auto truth = ocr::CashBudgetFixture::Random(options, &rng);
+  DART_CHECK(truth.ok());
+  core::DartPipeline pipeline = MakePipeline(*truth);
+  ocr::NoiseModel noise({0.08, 0.30, 1, 2}, &rng);
+  const std::string html = ocr::CashBudgetFixture::RenderHtml(
+      *truth, state.range(1) != 0 ? &noise : nullptr);
+  for (auto _ : state) {
+    auto outcome = pipeline.Acquire(html);
+    DART_CHECK_MSG(outcome.ok(), outcome.status().ToString());
+    benchmark::DoNotOptimize(outcome->extraction.matched_rows);
+  }
+  state.counters["rows"] = static_cast<double>(truth->relations()[0].size());
+  state.SetItemsProcessed(state.iterations());
+}
+
+BENCHMARK(BM_AcquireVsYears)
+    ->ArgNames({"years", "noisy"})
+    ->Args({2, 0})
+    ->Args({12, 0})
+    ->Args({50, 0})
+    ->Args({200, 0})
+    ->Args({12, 1})
+    ->Unit(benchmark::kMillisecond);
+
+// Grid expansion of ONE table of range(0) rows laid out like Fig. 1: a Year
+// cell spanning every row, a Section cell spanning runs of 10, then
+// Subsection and Value. Expansion time should grow linearly in the rows.
+void BM_TableGridRows(benchmark::State& state) {
+  const int rows = static_cast<int>(state.range(0));
+  wrap::HtmlTable table;
+  for (int r = 0; r < rows; ++r) {
+    std::vector<wrap::HtmlCell> row;
+    if (r == 0) row.push_back({"2003", rows, 1, false});
+    if (r % 10 == 0) {
+      row.push_back({"Receipts", std::min(10, rows - r), 1, false});
+    }
+    row.push_back({"item " + std::to_string(r), 1, 1, false});
+    row.push_back({std::to_string(r), 1, 1, false});
+    table.rows.push_back(std::move(row));
+  }
+  for (auto _ : state) {
+    auto grid = wrap::TableGrid::FromTable(table);
+    DART_CHECK(grid.ok() && grid->num_cols() == 4);
+    benchmark::DoNotOptimize(grid->num_rows());
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+
+BENCHMARK(BM_TableGridRows)
+    ->Arg(1000)
+    ->Arg(2000)
+    ->Arg(4000)
     ->Unit(benchmark::kMillisecond);
 
 void HumanEffortTable() {

@@ -16,15 +16,15 @@ Status DomainCatalog::AddDomain(const std::string& name,
   if (items.empty()) {
     return Status::InvalidArgument("domain '" + name + "' has no items");
   }
-  std::vector<std::string> canonical_items;
-  std::set<std::string> seen;
+  Domain domain;
   for (const std::string& item : items) {
-    const std::string lower = ToLower(item);
-    if (!seen.insert(lower).second) continue;
-    canonical_items.push_back(item);
+    std::string lower = ToLower(item);
+    if (!domain.index.emplace(lower, domain.items.size()).second) continue;
+    domain.items.push_back(item);
     canonical_.emplace(lower, item);  // keeps first spelling on collision
+    domain.lowered.push_back(std::move(lower));
   }
-  domains_.emplace(name, std::move(canonical_items));
+  domains_.emplace(name, std::move(domain));
   return Status::Ok();
 }
 
@@ -61,13 +61,13 @@ bool DomainCatalog::HasDomain(const std::string& name) const {
 const std::vector<std::string>* DomainCatalog::ItemsOf(
     const std::string& domain) const {
   auto it = domains_.find(domain);
-  return it == domains_.end() ? nullptr : &it->second;
+  return it == domains_.end() ? nullptr : &it->second.items;
 }
 
 std::vector<std::string> DomainCatalog::DomainNames() const {
   std::vector<std::string> out;
   out.reserve(domains_.size());
-  for (const auto& [name, items] : domains_) out.push_back(name);
+  for (const auto& [name, domain] : domains_) out.push_back(name);
   return out;
 }
 
@@ -91,20 +91,29 @@ bool DomainCatalog::IsSpecializationOf(const std::string& child,
 std::optional<ItemMatch> DomainCatalog::BestMatch(
     const std::string& domain, const std::string& text,
     const std::string* required_generalization) const {
-  const std::vector<std::string>* items = ItemsOf(domain);
-  if (items == nullptr) return std::nullopt;
+  auto it = domains_.find(domain);
+  if (it == domains_.end()) return std::nullopt;
+  const Domain& d = it->second;
   const std::string query = ToLower(Trim(text));
+  auto allowed = [&](const std::string& item) {
+    return required_generalization == nullptr ||
+           IsSpecializationOf(item, *required_generalization);
+  };
+  // Similarity 1.0 means equal lower-cased spellings, and those are unique
+  // within a domain: an allowed exact hit beats every other item.
+  auto hit = d.index.find(query);
+  if (hit != d.index.end() && allowed(d.items[hit->second])) {
+    return ItemMatch{d.items[hit->second], 1.0, true};
+  }
+  // No allowed exact hit, so every candidate below is inexact.
   std::optional<ItemMatch> best;
-  for (const std::string& item : *items) {
-    if (required_generalization != nullptr &&
-        !IsSpecializationOf(item, *required_generalization)) {
-      continue;
-    }
-    const std::string lower = ToLower(item);
-    const double similarity = text::Similarity(query, lower);
+  for (size_t i = 0; i < d.items.size(); ++i) {
+    const std::string& item = d.items[i];
+    if (!allowed(item)) continue;
+    const double similarity = text::Similarity(query, d.lowered[i]);
     if (!best || similarity > best->similarity ||
         (similarity == best->similarity && item < best->item)) {
-      best = ItemMatch{item, similarity, lower == query};
+      best = ItemMatch{item, similarity};
     }
   }
   return best;
@@ -123,7 +132,7 @@ DomainCatalog::Specializations() const {
 
 text::Dictionary DomainCatalog::AllItemsDictionary() const {
   text::Dictionary dictionary;
-  for (const auto& [name, items] : domains_) dictionary.AddTerms(items);
+  for (const auto& [name, domain] : domains_) dictionary.AddTerms(domain.items);
   return dictionary;
 }
 

@@ -4,6 +4,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "textrepair/dictionary.h"
@@ -16,7 +17,10 @@
 /// lexical items of different domains ("beginning cash" is a specialization
 /// of "Receipts", Fig. 6). The catalog also answers fuzzy best-item queries,
 /// which is how incorrect items "are transformed into the most similar valid
-/// lexical items" (the wrapper's msi(·,·)).
+/// lexical items" (the wrapper's msi(·,·)). Each domain keeps an exact-hit
+/// index, so text that already spells an item (up to case and surrounding
+/// whitespace) is bound with one hash lookup; only the rest pays for the
+/// similarity scan.
 
 namespace dart::wrap {
 
@@ -53,6 +57,8 @@ class DomainCatalog {
   /// The most similar item of `domain` to `text`; nullopt for an unknown or
   /// empty domain. With `required_generalization` set, only items that are
   /// specializations of it are considered (the row-pattern hierarchy edge).
+  /// Ties go to the lexicographically smaller item. An exact hit is answered
+  /// from the domain's index; other text is scanned against every item.
   std::optional<ItemMatch> BestMatch(
       const std::string& domain, const std::string& text,
       const std::string* required_generalization = nullptr) const;
@@ -66,10 +72,18 @@ class DomainCatalog {
   std::vector<std::pair<std::string, std::string>> Specializations() const;
 
  private:
+  /// One domain's items with their exact-hit index.
+  struct Domain {
+    std::vector<std::string> items;    ///< canonical spellings.
+    std::vector<std::string> lowered;  ///< items[i] lower-cased.
+    /// lowered[i] → i; unique because AddDomain dedups lower-cased items.
+    std::unordered_map<std::string, size_t> index;
+  };
+
   std::string Canonical(const std::string& item) const;
 
-  /// domain name → items (canonical spellings).
-  std::map<std::string, std::vector<std::string>> domains_;
+  /// domain name → its items.
+  std::map<std::string, Domain> domains_;
   /// lower-cased item → canonical spelling (first registration wins).
   std::map<std::string, std::string> canonical_;
   /// lower-cased child → set of lower-cased direct parents.

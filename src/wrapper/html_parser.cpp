@@ -1,6 +1,8 @@
 #include "wrapper/html_parser.h"
 
+#include <algorithm>
 #include <cctype>
+#include <string_view>
 
 #include "util/strings.h"
 
@@ -154,6 +156,20 @@ struct TableBuilder {
   }
 };
 
+/// First case-insensitive occurrence of `needle` (lower-case) in `haystack`
+/// at or after `from`, or npos. Searches in place, without copying the
+/// document, so skipping many <script> elements stays linear.
+size_t FindIgnoreCase(const std::string& haystack, std::string_view needle,
+                      size_t from) {
+  if (from > haystack.size()) return std::string::npos;
+  auto lower_equal = [](char a, char b) {
+    return std::tolower(static_cast<unsigned char>(a)) == b;
+  };
+  auto it = std::search(haystack.begin() + from, haystack.end(),
+                        needle.begin(), needle.end(), lower_equal);
+  return it == haystack.end() ? std::string::npos : it - haystack.begin();
+}
+
 }  // namespace
 
 Result<std::vector<HtmlTable>> ParseHtmlTables(const std::string& html) {
@@ -174,7 +190,7 @@ Result<std::vector<HtmlTable>> ParseHtmlTables(const std::string& html) {
       if (tag.name == "script" || tag.name == "style") {
         if (!tag.closing && !tag.self_closing) {
           const std::string closer = "</" + tag.name;
-          size_t end = ToLower(html).find(closer, pos);
+          size_t end = FindIgnoreCase(html, closer, pos);
           if (end == std::string::npos) break;
           pos = html.find('>', end);
           pos = pos == std::string::npos ? html.size() : pos + 1;

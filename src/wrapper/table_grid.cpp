@@ -11,10 +11,12 @@ Result<TableGrid> TableGrid::FromTable(const HtmlTable& table) {
   auto& cells = grid.cells_;
   cells.resize(table.rows.size());
 
-  auto ensure_size = [&](size_t row, size_t col) {
-    if (row >= cells.size()) cells.resize(row + 1);
-    for (auto& r : cells) {
-      if (r.size() <= col) r.resize(col + 1);
+  // Grows rows [first, last] to at least col + 1 columns. Only the rows a
+  // cell touches grow here; the final padding below evens out the width.
+  auto ensure_size = [&](size_t first, size_t last, size_t col) {
+    if (last >= cells.size()) cells.resize(last + 1);
+    for (size_t row = first; row <= last; ++row) {
+      if (cells[row].size() <= col) cells[row].resize(col + 1);
     }
   };
 
@@ -23,13 +25,13 @@ Result<TableGrid> TableGrid::FromTable(const HtmlTable& table) {
     for (const HtmlCell& cell : table.rows[r]) {
       // Find the first free column in this row.
       while (true) {
-        ensure_size(r, c);
+        ensure_size(r, r, c);
         if (!cells[r][c].occupied) break;
         ++c;
       }
       const size_t rowspan = static_cast<size_t>(std::max(cell.rowspan, 1));
       const size_t colspan = static_cast<size_t>(std::max(cell.colspan, 1));
-      ensure_size(r + rowspan - 1, c + colspan - 1);
+      ensure_size(r, r + rowspan - 1, c + colspan - 1);
       for (size_t dr = 0; dr < rowspan; ++dr) {
         for (size_t dc = 0; dc < colspan; ++dc) {
           GridCell& target = cells[r + dr][c + dc];

@@ -73,6 +73,31 @@ TEST(HtmlParserTest, ScriptAndCommentSkipped) {
   EXPECT_EQ((*tables)[0].rows[0][0].text, "real");
 }
 
+// Finding each <script> closer must not copy the document: with a copy per
+// closer, 20000 scripts take minutes and blow the ctest timeout.
+TEST(HtmlParserTest, ManyScriptsSkippedInLinearTime) {
+  std::string html = "<html><head>";
+  for (int i = 0; i < 20000; ++i) {
+    html += "<script>var x" + std::to_string(i) + " = '<td>no</td>';</script>";
+  }
+  html += "</head><body><table><tr><td>kept</td></tr></table></body></html>";
+  auto tables = ParseHtmlTables(html);
+  ASSERT_TRUE(tables.ok());
+  ASSERT_EQ(tables->size(), 1u);
+  EXPECT_EQ((*tables)[0].rows[0][0].text, "kept");
+}
+
+TEST(HtmlParserTest, MixedCaseScriptCloser) {
+  auto tables = ParseHtmlTables(
+      "<table><tr><td><SCRIPT>'<td>evil</td>'</ScRiPt>a</td>"
+      "<td><Style>td { }</STYLE>b</td></tr></table>");
+  ASSERT_TRUE(tables.ok());
+  ASSERT_EQ(tables->size(), 1u);
+  ASSERT_EQ((*tables)[0].rows[0].size(), 2u);
+  EXPECT_EQ((*tables)[0].rows[0][0].text, "a");
+  EXPECT_EQ((*tables)[0].rows[0][1].text, "b");
+}
+
 TEST(HtmlParserTest, UnclosedTableRecovered) {
   auto tables = ParseHtmlTables("<table><tr><td>x</td>");
   ASSERT_TRUE(tables.ok());
@@ -142,6 +167,24 @@ TEST(TableGridTest, RaggedRowsPadded) {
   EXPECT_FALSE(grid->At(0, 1).occupied);
 }
 
+// Rows grow only where a cell lands; the final pass pads every row, the
+// untouched ones and those a rowspan adds past the last <tr> included.
+TEST(TableGridTest, SpansPadEveryRowToFinalWidth) {
+  HtmlTable table;
+  table.rows = {{{"a", 1, 1, false}},
+                {{"wide", 1, 3, false}},
+                {{"tall", 3, 1, false}, {"b", 1, 1, false}}};
+  auto grid = TableGrid::FromTable(table);
+  ASSERT_TRUE(grid.ok());
+  EXPECT_EQ(grid->num_rows(), 5u);
+  EXPECT_EQ(grid->num_cols(), 3u);
+  EXPECT_FALSE(grid->At(0, 2).occupied);
+  EXPECT_EQ(grid->At(1, 2).text, "wide");
+  EXPECT_EQ(grid->At(4, 0).text, "tall");
+  EXPECT_FALSE(grid->At(4, 2).occupied);
+  EXPECT_EQ(grid->RowTexts(3), (std::vector<std::string>{"tall", "", ""}));
+}
+
 TEST(DomainCatalogTest, DefinitionAndLookup) {
   DomainCatalog catalog;
   ASSERT_TRUE(catalog.AddDomain("Section",
@@ -189,6 +232,27 @@ TEST(DomainCatalogTest, BestMatchWithGeneralizationFilter) {
   best = catalog.BestMatch("Subsection", "cash sales", &parent);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(best->item, "payment of accounts");
+  EXPECT_FALSE(best->exact);
+}
+
+TEST(DomainCatalogTest, ExactHitIgnoresCaseAndPadding) {
+  DomainCatalog catalog;
+  // Case-insensitive duplicates collapse onto the first spelling.
+  ASSERT_TRUE(
+      catalog.AddDomain("Subsection", {"Cash Sales", "cash sales", "cash"})
+          .ok());
+  EXPECT_EQ(*catalog.ItemsOf("Subsection"),
+            (std::vector<std::string>{"Cash Sales", "cash"}));
+  auto best = catalog.BestMatch("Subsection", " \tCASH sales \n");
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(best->item, "Cash Sales");
+  EXPECT_EQ(best->similarity, 1.0);
+  EXPECT_TRUE(best->exact);
+  // Near misses still go through the similarity scan.
+  best = catalog.BestMatch("Subsection", "cash sale");
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(best->item, "Cash Sales");
+  EXPECT_LT(best->similarity, 1.0);
   EXPECT_FALSE(best->exact);
 }
 
