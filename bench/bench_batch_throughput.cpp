@@ -1,11 +1,10 @@
 // Experiment E20 (EXPERIMENTS.md): batch ingestion throughput. The same N
 // rendered cash-budget documents are processed twice at an equal thread
-// count — N sequential Process() calls (each MILP solve may still use all
-// threads, but acquisition/extraction/grounding run one document at a time
-// and every call pays its own scheduler entry) vs one SubmitBatch() call
-// (acquisition fans out largest-document-first across the shared
-// work-stealing pool and every document's MILP components feed one fused
-// SolveMilpBatch per big-M round). main() gates the aggregate throughput
+// count — N sequential Submit() calls (each call may still solve its own
+// components concurrently, but acquisition/extraction/grounding run one
+// document at a time) vs one SubmitBatch() call (acquisition fans out
+// largest-document-first across the task pool and every document's MILP
+// components feed one fused SolveMilpBatch per big-M round). main() gates the aggregate throughput
 // ratio (≥ 3× at 8 docs / 8 threads), the acquisition-pool utilization
 // (≥ 0.70), and per-seed serial-path parity, then writes the instrumented
 // batch trace for scripts/trace_report.py's span-overlap check.

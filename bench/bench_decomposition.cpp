@@ -4,7 +4,7 @@
 // never share a ground constraint, so the repair MILP has one connected
 // component per document (and usually more — the budget's per-year structure
 // splits further). Branch-and-bound tree sizes multiply with instance size,
-// so solving K blocks of size N/K — concurrently, on one work-stealing pool —
+// so solving K blocks of size N/K — one serial search each, several at once —
 // beats one size-N search by far more than the thread count alone.
 //
 // Three views:
@@ -41,7 +41,8 @@ dart::bench::Scenario MultiDoc(int docs) {
                                            kErrorsPerDoc);
 }
 
-// Whole-model branch-and-bound on the merged instance, 4 threads.
+// Whole-model branch-and-bound on the merged instance. num_threads = 4 as in
+// the decomposed row, but a single model is always one serial search.
 void BM_MilpMonolithic(benchmark::State& state) {
   const int docs = static_cast<int>(state.range(0));
   const dart::bench::Scenario scenario = MultiDoc(docs);
@@ -63,7 +64,7 @@ void BM_MilpMonolithic(benchmark::State& state) {
       dart::bench::CollectMilpCounters(translation->model, options).nodes);
 }
 
-// The same translated model through DecomposeModel + the batch scheduler.
+// The same translated model through DecomposeModel + SolveMilpBatch.
 void BM_MilpDecomposed(benchmark::State& state) {
   const int docs = static_cast<int>(state.range(0));
   const dart::bench::Scenario scenario = MultiDoc(docs);

@@ -191,7 +191,7 @@ void HumanEffortTable() {
   table.Print();
 }
 
-// One instrumented noisy-document Process() run with a live 250 ms
+// One instrumented noisy-document Submit() run with a live 250 ms
 // PeriodicExporter attached, checked against the obs acceptance bars before
 // its trace is written for trace_report.py:
 //   (a) the exporter stream (OBS_bench_end_to_end.metrics.jsonl) is

@@ -1,11 +1,11 @@
 // Experiment E14 (EXPERIMENTS.md): repair solve time vs solver thread count.
-// The same 12-year cash-budget instance as E1's largest point, solved with
-// the work-stealing branch-and-bound at 1/2/4/8 threads. Counters expose the
-// scheduler internals: per-run B&B nodes, work-steal transfers, and the wall
-// time spent inside the MILP search itself (excluding translation/presolve).
-// Expect near-linear scaling until the open-node frontier is smaller than the
-// worker count (frontier starvation); on this instance the frontier is narrow
-// early on, so speedup saturates well below thread count.
+// The same 12-year cash-budget instance as E1's largest point, solved at
+// 1/2/4/8 threads. Every connected component of the repair model is one
+// serial branch-and-bound search; the thread count only decides how many
+// components run at once, so B&B nodes and the repair are identical at every
+// thread count and only the wall time may move. Counters: per-run B&B nodes,
+// the wall time spent inside the MILP search itself (excluding
+// translation/presolve), and the repair cardinality.
 
 #include <benchmark/benchmark.h>
 
@@ -35,13 +35,12 @@ void BM_RepairVsThreads(benchmark::State& state) {
     milp_wall = outcome->stats.milp_wall_seconds;
     cardinality = outcome->repair.cardinality();
   }
-  // One instrumented solve outside the timed loop supplies the scheduler
-  // counters (node totals at >1 thread vary run to run; this is one sample).
+  // One instrumented solve outside the timed loop supplies the search
+  // counters.
   const dart::bench::SolveCounters counters =
       dart::bench::CollectRepairCounters(scenario, options);
   state.counters["threads"] = static_cast<double>(threads);
   state.counters["bb_nodes"] = static_cast<double>(counters.nodes);
-  state.counters["steals"] = static_cast<double>(counters.steals);
   state.counters["milp_wall_s"] = milp_wall;
   state.counters["repair_card"] = static_cast<double>(cardinality);
 }
@@ -53,8 +52,8 @@ BENCHMARK(BM_RepairVsThreads)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// The raw MILP solve alone (translation hoisted out of the loop): the purest
-// view of scheduler scaling, with no engine overhead in the numerator.
+// The raw monolithic MILP solve alone (translation hoisted out of the loop):
+// one model is one serial search, so this row is flat in the thread count.
 void BM_MilpSolveVsThreads(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   dart::bench::Scenario scenario =
@@ -77,7 +76,6 @@ void BM_MilpSolveVsThreads(benchmark::State& state) {
       dart::bench::CollectMilpCounters(translation->model, options);
   state.counters["threads"] = static_cast<double>(threads);
   state.counters["bb_nodes"] = static_cast<double>(counters.nodes);
-  state.counters["steals"] = static_cast<double>(counters.steals);
 }
 
 BENCHMARK(BM_MilpSolveVsThreads)
@@ -93,8 +91,8 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  // Trace a 4-thread engine run so milp.worker spans and the per-thread node
-  // counters show up in the report.
+  // Trace a 4-thread engine run so the per-component milp.instance spans
+  // show up in the report.
   dart::repair::RepairEngineOptions options;
   options.milp.search.num_threads = 4;
   dart::bench::EmitRepairTrace(

@@ -140,7 +140,6 @@ struct SolveCounters {
   int64_t nodes = 0;
   int64_t lp_iterations = 0;
   int64_t lp_warm_solves = 0;
-  int64_t steals = 0;
   // Sparse-LP-kernel internals (all zero under the dense oracle kernel).
   int64_t lp_refactorizations = 0;
   int64_t lp_eta_updates = 0;
@@ -156,7 +155,6 @@ inline SolveCounters CountersSince(const obs::RunContext& run,
   counters.nodes = delta.Counter("milp.nodes");
   counters.lp_iterations = delta.Counter("milp.lp_iterations");
   counters.lp_warm_solves = delta.Counter("milp.lp_warm_solves");
-  counters.steals = delta.Counter("milp.scheduler.steals");
   counters.lp_refactorizations = delta.Counter("milp.lp.refactorizations");
   counters.lp_eta_updates = delta.Counter("milp.lp.eta_updates");
   counters.lp_ftran = delta.Counter("milp.lp.ftran");

@@ -116,15 +116,6 @@ Result<AcquisitionOutcome> DartPipeline::AcquirePositional(
   return Acquire(html);
 }
 
-Result<ProcessOutcome> DartPipeline::ProcessPositional(
-    const acquire::PositionalDocument& document) const {
-  return Submit(ProcessRequest::FromPositional(document));
-}
-
-Result<ProcessOutcome> DartPipeline::Process(const std::string& html) const {
-  return Submit(ProcessRequest::FromHtml(html));
-}
-
 Result<ProcessOutcome> DartPipeline::Submit(
     const ProcessRequest& request) const {
   if (request.positional.has_value()) {
@@ -221,8 +212,8 @@ BatchOutcome DartPipeline::SubmitBatch(const BatchRequest& request) const {
       std::max(1, options_.engine.milp.search.num_threads);
 
   // Phase 1 — per-document acquisition + grounding + detection, fanned out
-  // over the shared work-stealing pool. All shared state (compiled patterns,
-  // catalog, parsed constraints) is immutable and used via const access.
+  // over the task pool. All shared state (compiled patterns, catalog,
+  // parsed constraints) is immutable and used via const access.
   const util::TaskPoolStats pool_stats = util::ParallelFor(
       num_threads, order, [&](size_t i) {
         // Workers carry no thread-local span stack from the caller, so nest
@@ -264,7 +255,7 @@ BatchOutcome DartPipeline::SubmitBatch(const BatchRequest& request) const {
 
   // Phase 2 — one fused repair over every acquired document (consistent
   // ones included: the batch fast path marks them already_consistent
-  // without solving, matching Process()'s engine fast path).
+  // without solving, matching Submit()'s engine fast path).
   std::vector<size_t> to_repair;
   std::vector<repair::BatchRepairRequest> requests;
   for (size_t i = 0; i < slots.size(); ++i) {
@@ -326,21 +317,6 @@ BatchOutcome DartPipeline::SubmitBatch(const BatchRequest& request) const {
   obs::SetGauge(options_.run, "pipeline.batch.acquire_utilization",
                 batch.stats.acquire_utilization);
   return batch;
-}
-
-Result<BatchOutcome> DartPipeline::ProcessBatch(
-    std::span<const std::string> htmls) const {
-  return SubmitBatch(BatchRequest::FromHtmls(htmls));
-}
-
-Result<BatchOutcome> DartPipeline::ProcessBatchPositional(
-    std::span<const acquire::PositionalDocument> documents) const {
-  BatchRequest request;
-  request.documents.reserve(documents.size());
-  for (const acquire::PositionalDocument& document : documents) {
-    request.documents.push_back(ProcessRequest::FromPositional(document));
-  }
-  return SubmitBatch(request);
 }
 
 Result<repair::RepairOutcome> DartPipeline::Repair(

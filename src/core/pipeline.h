@@ -33,8 +33,6 @@
 /// The unified entry points are Submit / SubmitBatch: one ProcessRequest per
 /// document (HTML or positional scanner output, plus a caller-chosen id that
 /// is carried through to the outcome), one BatchRequest for a fused batch.
-/// The historical Process / ProcessPositional / ProcessBatch /
-/// ProcessBatchPositional entry points survive as thin wrappers over them.
 
 namespace dart::core {
 
@@ -140,7 +138,7 @@ struct BatchRequest {
   }
 };
 
-/// Aggregate accounting of one ProcessBatch call (also published as the
+/// Aggregate accounting of one SubmitBatch call (also published as the
 /// pipeline.batch.* gauges).
 struct BatchStats {
   double wall_seconds = 0;
@@ -199,32 +197,16 @@ class DartPipeline {
 
   /// N documents as one fused unit of work (DESIGN.md "Batch ingestion"):
   /// acquisition + grounding + detection fan out largest-document-first
-  /// across one work-stealing pool of `engine.milp.search.num_threads`
-  /// workers over the pipeline's shared immutable state, then every
-  /// inconsistent document's MILP components are solved together in shared
-  /// SolveMilpBatch calls (repair::ComputeRepairBatch). Per-document
-  /// outcomes match N× Submit() — bit-identically at num_threads <= 1 —
-  /// and are returned in input order, each slot tagged with its request id
-  /// (empty ids become the slot index). A document that fails any stage
+  /// across `engine.milp.search.num_threads` pool workers over the
+  /// pipeline's shared immutable state, then every inconsistent document's
+  /// MILP components are solved together in shared SolveMilpBatch calls
+  /// (repair::ComputeRepairBatch). Per-document outcomes match N× Submit()
+  /// bit-identically at every thread count and are returned in input order,
+  /// each slot tagged with its request id (empty ids become the slot index). A document that fails any stage
   /// (reconstruction, acquisition, repair) fails only its own slot. One
   /// `pipeline.batch` span frames the call and the pipeline.batch.* gauges
   /// mirror `BatchOutcome::stats`.
   BatchOutcome SubmitBatch(const BatchRequest& request) const;
-
-  /// \deprecated Thin wrapper over Submit(ProcessRequest::FromHtml(html)).
-  Result<ProcessOutcome> Process(const std::string& html) const;
-
-  /// \deprecated Thin wrapper over Submit(ProcessRequest::FromPositional()).
-  Result<ProcessOutcome> ProcessPositional(
-      const acquire::PositionalDocument& document) const;
-
-  /// \deprecated Thin wrapper over SubmitBatch(BatchRequest::FromHtmls()).
-  Result<BatchOutcome> ProcessBatch(
-      std::span<const std::string> htmls) const;
-
-  /// \deprecated Thin wrapper over SubmitBatch() with positional requests.
-  Result<BatchOutcome> ProcessBatchPositional(
-      std::span<const acquire::PositionalDocument> documents) const;
 
   /// Repair an already-acquired database (module 2 alone).
   Result<repair::RepairOutcome> Repair(

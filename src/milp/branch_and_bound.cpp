@@ -6,9 +6,9 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <numeric>
 
-#include "milp/branching.h"
-#include "milp/scheduler.h"
+#include "util/task_pool.h"
 
 namespace dart::milp {
 
@@ -29,8 +29,29 @@ bool IsInfeasibleStatus(MilpResult::SolveStatus status) {
          status == MilpResult::SolveStatus::kLpRelaxationInfeasible;
 }
 
-namespace internal {
+namespace {
 
+/// One search's locally tracked counters, published into the registry by
+/// PublishMilpCounters once the search retires (MilpResult does not carry
+/// them: the registry is the stats surface).
+struct SearchCounters {
+  int64_t nodes = 0;
+  int64_t lp_iterations = 0;
+  int64_t lp_warm_solves = 0;
+  // Sparse-LP-kernel internals, summed over the search's LP solves (all
+  // zero when the dense oracle kernel ran); published as milp.lp.*.
+  int64_t lp_refactorizations = 0;
+  int64_t lp_eta_updates = 0;
+  int64_t lp_ftran = 0;
+  int64_t lp_btran = 0;
+  /// Peak eta-file fill-in (nonzeros) over the search's LP solves.
+  int64_t lp_basis_fill_nnz = 0;
+};
+
+/// Publishes one search's counters into the run's registry (no-op when run
+/// is null): milp.solves / milp.nodes / milp.lp_iterations /
+/// milp.lp_warm_solves, the LP-kernel internals milp.lp.refactorizations /
+/// .eta_updates / .ftran / .btran plus the milp.lp.basis_fill_nnz gauge.
 void PublishMilpCounters(obs::RunContext* run,
                          const SearchCounters& counters) {
   if (run == nullptr) return;
@@ -38,7 +59,6 @@ void PublishMilpCounters(obs::RunContext* run,
   obs::Count(run, "milp.nodes", counters.nodes);
   obs::Count(run, "milp.lp_iterations", counters.lp_iterations);
   obs::Count(run, "milp.lp_warm_solves", counters.lp_warm_solves);
-  obs::Count(run, "milp.scheduler.steals", counters.steals);
   obs::Count(run, "milp.lp.refactorizations", counters.lp_refactorizations);
   obs::Count(run, "milp.lp.eta_updates", counters.lp_eta_updates);
   obs::Count(run, "milp.lp.ftran", counters.lp_ftran);
@@ -47,16 +67,39 @@ void PublishMilpCounters(obs::RunContext* run,
     obs::SetGauge(run, "milp.lp.basis_fill_nnz",
                   static_cast<double>(counters.lp_basis_fill_nnz));
   }
-  for (size_t t = 0; t < counters.per_thread_nodes.size(); ++t) {
-    obs::Count(run,
-               "milp.scheduler.thread." + std::to_string(t) + ".nodes",
-               counters.per_thread_nodes[t]);
-  }
 }
 
-}  // namespace internal
+/// Picks the branching variable among fractional integer variables; -1 if
+/// the point is integral.
+int PickBranchVariable(const Model& model, const std::vector<double>& point,
+                       double int_tol, BranchRule rule) {
+  int chosen = -1;
+  double best_score = -1;
+  for (int i = 0; i < model.num_variables(); ++i) {
+    if (model.variable(i).type == VarType::kContinuous) continue;
+    const double value = point[i];
+    const double fraction = value - std::floor(value);
+    const double dist = std::min(fraction, 1.0 - fraction);
+    if (dist <= int_tol) continue;
+    if (rule == BranchRule::kFirstFractional) return i;
+    if (dist > best_score) {
+      best_score = dist;
+      chosen = i;
+    }
+  }
+  return chosen;
+}
 
-namespace {
+/// A node bound can be pruned against the incumbent; with an integral
+/// objective we can round bounds up (minimize-space).
+bool BoundPrunable(double bound_key, double incumbent_key,
+                   bool objective_is_integral) {
+  double effective = bound_key;
+  if (objective_is_integral) {
+    effective = std::ceil(bound_key - 1e-6);
+  }
+  return effective >= incumbent_key - 1e-9;
+}
 
 struct Node {
   std::vector<double> lower;
@@ -75,18 +118,19 @@ struct NodeCompare {
   }
 };
 
-MilpResult SolveMilpSerial(const Model& model, const MilpOptions& options) {
+/// The branch-and-bound search itself. Fills `counters` instead of
+/// publishing them, so a batch can publish in input order after its join.
+MilpResult SolveMilpSerial(const Model& model, const MilpOptions& options,
+                           SearchCounters* counters_out) {
   const auto t_begin = std::chrono::steady_clock::now();
   obs::Span search_span(options.run, "milp.search");
   MilpResult result;
-  internal::SearchCounters counters;
+  SearchCounters& counters = *counters_out;
   auto finish = [&]() -> MilpResult& {
     result.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t_begin)
             .count();
-    counters.per_thread_nodes = {counters.nodes};
-    internal::PublishMilpCounters(options.run, counters);
     return result;
   };
 
@@ -187,8 +231,8 @@ MilpResult SolveMilpSerial(const Model& model, const MilpOptions& options) {
   bool any_feasible_lp = false;
 
   auto prunable = [&](double bound_key) {
-    return internal::BoundPrunable(bound_key, incumbent_key,
-                                   options.objective_is_integral);
+    return BoundPrunable(bound_key, incumbent_key,
+                         options.objective_is_integral);
   };
 
   while (!empty()) {
@@ -237,17 +281,16 @@ MilpResult SolveMilpSerial(const Model& model, const MilpOptions& options) {
     const double bound_key = sense_factor * lp.objective;
     if (prunable(bound_key)) continue;
 
-    int branch_var = internal::PickBranchVariable(model, lp.point,
-                                                  options.int_tol,
-                                                  options.search.branch_rule);
+    int branch_var = PickBranchVariable(model, lp.point, options.int_tol,
+                                        options.search.branch_rule);
     if (branch_var < 0) {
       if (try_incumbent(lp.point)) continue;  // LP optimum is integral
       // Near-integral but unsnappable: big-M rows make a δ of ~|y|/M pass
       // the integrality tolerance while rounding it to 0 is infeasible.
       // Branch on the least-integral variable anyway (tolerance 0); only a
       // genuinely all-integral infeasible point may be abandoned.
-      branch_var = internal::PickBranchVariable(model, lp.point, 0.0,
-                                                options.search.branch_rule);
+      branch_var = PickBranchVariable(model, lp.point, 0.0,
+                                      options.search.branch_rule);
       if (branch_var < 0) continue;
     } else if (options.search.rounding_heuristic) {
       try_incumbent(lp.point);
@@ -324,10 +367,33 @@ MilpResult SolveMilpSerial(const Model& model, const MilpOptions& options) {
 }  // namespace
 
 MilpResult SolveMilp(const Model& model, const MilpOptions& options) {
-  if (options.search.num_threads > 1) {
-    return SolveMilpParallel(model, options);
+  SearchCounters counters;
+  MilpResult result = SolveMilpSerial(model, options, &counters);
+  PublishMilpCounters(options.run, counters);
+  return result;
+}
+
+std::vector<MilpResult> SolveMilpBatch(const std::vector<BatchModel>& models,
+                                       const MilpOptions& options) {
+  std::vector<MilpResult> results(models.size());
+  std::vector<SearchCounters> counters(models.size());
+  std::vector<size_t> order(models.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return models[a].model->num_variables() > models[b].model->num_variables();
+  });
+  const int64_t parent_span = obs::CurrentSpanId(options.run);
+  util::ParallelFor(options.search.num_threads, order, [&](size_t k) {
+    MilpOptions one = options;
+    one.initial_point = models[k].initial_point;
+    one.search.root_basis = models[k].root_basis;
+    obs::Span instance_span(options.run, "milp.instance", parent_span);
+    results[k] = SolveMilpSerial(*models[k].model, one, &counters[k]);
+  });
+  for (const SearchCounters& c : counters) {
+    PublishMilpCounters(options.run, c);
   }
-  return SolveMilpSerial(model, options);
+  return results;
 }
 
 }  // namespace dart::milp

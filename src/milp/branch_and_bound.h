@@ -14,10 +14,11 @@
 /// any exact solver returns the same optimal objective, which is what the
 /// card-minimal repair semantics needs.
 ///
-/// The search runs serially by default; MilpOptions::search.num_threads > 1
-/// switches to the work-stealing parallel scheduler (scheduler.h).
-/// num_threads == 1 reproduces the serial algorithm exactly (same pivots,
-/// same node count).
+/// Every search is serial: one model, one best-first (or depth-first) tree,
+/// one thread. Parallelism lives one level up — SolveMilpBatch searches
+/// independent models (the connected components of S*(AC), decompose.h)
+/// concurrently, one search per model — so a result never depends on the
+/// thread count: same point, same node count, same LP iterations.
 
 namespace dart::milp {
 
@@ -38,12 +39,9 @@ enum class NodeOrder {
 /// configure the search in one place instead of re-plumbing individual
 /// flags.
 struct SearchOptions {
-  /// Worker threads for the branch-and-bound search (values < 1 are treated
-  /// as 1). 1 runs the serial algorithm; > 1 runs the work-stealing parallel
-  /// scheduler, which explores per-worker depth-first with steal-from-top
-  /// (node_order applies to the serial path only). The optimal objective is
-  /// identical in all configurations; node counts may differ run-to-run for
-  /// > 1 because incumbents are discovered in nondeterministic order.
+  /// Models SolveMilpBatch searches at once (values < 1 are treated as 1).
+  /// Each model is still searched serially, so results are identical at
+  /// every thread count; a single SolveMilp call ignores this knob.
   int num_threads = 1;
   /// Warm-start node LP re-solves from the parent node's optimal basis via
   /// dual simplex pivots (see SolveLpWarm). A child differs from its parent
@@ -62,7 +60,7 @@ struct SearchOptions {
   /// dual pivots exactly like a child node warm-starts from its parent;
   /// shape mismatches and stale snapshots are ignored / fall back to a cold
   /// solve, so a caller can always pass whatever it captured last. Consumed
-  /// by SolveMilp only — the batch entry points take a per-model basis via
+  /// by SolveMilp only — the batch entry point takes a per-model basis via
   /// BatchModel::root_basis instead.
   std::shared_ptr<const LpBasis> root_basis;
 };
@@ -78,9 +76,9 @@ struct DecompositionOptions {
   /// rows, shrinking heavily-validated instances dramatically.
   bool use_presolve = true;
   /// Split the (presolved) model into connected components of the
-  /// variable–constraint incidence graph and solve them concurrently on one
-  /// work-stealing pool (decompose.h). Cells from different acquired
-  /// documents never share a ground row, and presolve-chased pins cut
+  /// variable–constraint incidence graph and solve them concurrently, one
+  /// serial search per component (decompose.h). Cells from different
+  /// acquired documents never share a ground row, and presolve-chased pins cut
   /// chains, so validation-loop instances are usually block-structured. Also
   /// enables per-component big-M retries in the repair engine: components
   /// accepted as optimal and unsaturated are pinned on a retry instead of
@@ -106,14 +104,12 @@ struct MilpOptions {
   /// iteration's accepted solution.
   std::vector<double> initial_point;
   /// Observability sink (nullptr = no-op). This is the ONLY place solver
-  /// search counters surface: every solve publishes milp.nodes,
-  /// milp.lp_iterations, milp.lp_warm_solves, milp.scheduler.steals and
-  /// milp.scheduler.thread.<i>.nodes into the registry (the parallel batch
-  /// additionally publishes live milp.instance.<k>.nodes / .lp_iterations
-  /// per-component attribution) and opens search/batch/worker spans in the
-  /// trace. Callers wanting per-solve counts attach a RunContext and diff
-  /// MetricsSnapshot::DeltaSince around the call. See docs/observability.md
-  /// for the full metric reference.
+  /// search counters surface: every solve publishes milp.solves, milp.nodes,
+  /// milp.lp_iterations, milp.lp_warm_solves and the milp.lp.* kernel
+  /// internals into the registry and opens a milp.search span (under a
+  /// milp.instance span per batch model). Callers wanting per-solve counts
+  /// attach a RunContext and diff MetricsSnapshot::DeltaSince around the
+  /// call. See docs/observability.md for the full metric reference.
   obs::RunContext* run = nullptr;
 };
 
@@ -137,10 +133,10 @@ struct MilpResult {
   /// Best proven bound on the optimum (equal to `objective` when optimal).
   double best_bound = 0;
 
-  // Statistics. Search counters (node counts, LP iterations, warm solves,
-  // steals, per-worker splits) live exclusively in the obs registry now —
-  // attach MilpOptions::run and read the milp.* counters; the legacy
-  // convenience fields were retired once every caller migrated.
+  // Statistics. Search counters (node counts, LP iterations, warm solves)
+  // live exclusively in the obs registry now — attach MilpOptions::run and
+  // read the milp.* counters; the legacy convenience fields were retired
+  // once every caller migrated.
   //
   /// Wall-clock seconds spent inside the solve (search only, not model
   /// construction).
@@ -169,42 +165,36 @@ const char* MilpStatusName(MilpResult::SolveStatus status);
 /// kLpRelaxationInfeasible).
 bool IsInfeasibleStatus(MilpResult::SolveStatus status);
 
-/// Solves `model` to proven optimality (or until the node limit).
+/// Solves `model` to proven optimality (or until the node limit) with one
+/// serial search.
 MilpResult SolveMilp(const Model& model, const MilpOptions& options = {});
 
-namespace internal {
-
-/// One search's locally tracked counters, handed to PublishMilpCounters when
-/// the search retires. MilpResult no longer carries these (the registry is
-/// the stats surface); the struct exists so the serial solver and the batch
-/// scheduler's gather publish through one code path.
-struct SearchCounters {
-  int64_t nodes = 0;
-  int64_t lp_iterations = 0;
-  int64_t lp_warm_solves = 0;
-  int64_t steals = 0;
-  // Sparse-LP-kernel internals, summed over the search's LP solves (all
-  // zero when the dense oracle kernel ran); published as milp.lp.*.
-  int64_t lp_refactorizations = 0;
-  int64_t lp_eta_updates = 0;
-  int64_t lp_ftran = 0;
-  int64_t lp_btran = 0;
-  /// Peak eta-file fill-in (nonzeros) over the search's LP solves.
-  int64_t lp_basis_fill_nnz = 0;
-  /// Nodes explored by each worker ({nodes} for the serial path).
-  std::vector<int64_t> per_thread_nodes;
+/// One model of a SolveMilpBatch call plus its (optional) warm starts.
+/// `initial_point` is used instead of MilpOptions::initial_point, which the
+/// batch entry point ignores (a single point cannot fit several models).
+struct BatchModel {
+  const Model* model = nullptr;
+  std::vector<double> initial_point;
+  /// Optional warm basis for this model's root LP (a previous solve's
+  /// MilpResult::root_basis). Shape-checked against the model; mismatches
+  /// are ignored. Per-model analogue of SearchOptions::root_basis, which the
+  /// batch entry point does not consult.
+  std::shared_ptr<const LpBasis> root_basis;
 };
 
-/// Publishes one solve's counters into the run's registry (no-op when run is
-/// null): milp.solves / milp.nodes / milp.lp_iterations /
-/// milp.lp_warm_solves / milp.scheduler.steals, the LP-kernel internals
-/// milp.lp.refactorizations / .eta_updates / .ftran / .btran plus the
-/// milp.lp.basis_fill_nnz gauge, and milp.scheduler.thread.<i>.nodes per
-/// worker. Called exactly once per MilpResult produced by a search (the
-/// serial solver, or the batch scheduler's per-instance gather).
-void PublishMilpCounters(obs::RunContext* run,
-                         const SearchCounters& counters);
-
-}  // namespace internal
+/// Solves every model of `models` and returns one MilpResult per model, in
+/// input order. Each model is one serial SolveMilp search; up to
+/// options.search.num_threads of them run at once, largest model (by
+/// variable count) dealt first. Every result — and every registry delta —
+/// is therefore identical at every thread count.
+///
+/// The shared options apply per model: max_nodes caps each model's own
+/// search, an unbounded model reports kUnbounded without stopping the
+/// others, and wall_seconds is each model's own search time. Counters are
+/// published after all searches finish, in input order; each search's
+/// milp.search span nests under a milp.instance span parented to the
+/// caller's current span.
+std::vector<MilpResult> SolveMilpBatch(const std::vector<BatchModel>& models,
+                                       const MilpOptions& options);
 
 }  // namespace dart::milp

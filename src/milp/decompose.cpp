@@ -6,8 +6,6 @@
 #include <numeric>
 #include <utility>
 
-#include "milp/scheduler.h"
-
 namespace dart::milp {
 
 namespace {
@@ -128,7 +126,7 @@ Decomposition DecomposeModel(const Model& model) {
   }
 
   // Largest component first (ties by smallest contained variable index) so
-  // the batch scheduler starts the longest solve immediately.
+  // a concurrent batch starts the longest solve immediately.
   std::vector<int> order(groups.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](int a, int b) {
@@ -316,9 +314,8 @@ MilpResult SolveDecomposition(const Decomposition& decomposition,
   obs::SetGauge(options.run, "milp.largest_component_vars",
                 decomposition.largest_component_vars);
 
-  // Submit all components to one shared work-stealing pool (serial loop for
-  // num_threads <= 1), largest first per the decomposition order, then
-  // stitch. A violated constant row skips the solve outright.
+  // Solve every component (one serial search each), then stitch. A
+  // violated constant row skips the solve outright.
   std::vector<MilpResult> solved;
   if (!decomposition.constant_row_infeasible) {
     const std::vector<BatchModel> batch =

@@ -4,7 +4,6 @@
 
 #include "milp/branch_and_bound.h"
 #include "milp/model.h"
-#include "milp/scheduler.h"
 
 /// \file decompose.h
 /// Constraint-graph decomposition of a MILP into independent subproblems.
@@ -22,8 +21,8 @@
 /// repairs of the components (cardinalities of disjoint variable sets add).
 /// Branch-and-bound tree sizes multiply with instance size, so K components
 /// of size N/K are asymptotically much cheaper to solve than one instance of
-/// size N — and they can be solved concurrently on one work-stealing pool
-/// (SolveMilpBatch, scheduler.h).
+/// size N — and they can be solved concurrently, one serial search each
+/// (SolveMilpBatch, branch_and_bound.h).
 ///
 /// The decomposition is computed with a union-find pass over the rows
 /// (O(nnz · α(n))), then one sub-Model per connected component is
@@ -49,8 +48,8 @@ struct Component {
 struct Decomposition {
   /// Components sorted by variable count, largest first, ties broken by the
   /// smallest contained variable index (deterministic). Solving largest
-  /// first minimizes makespan on a shared pool: the small blocks fill in
-  /// behind the big one instead of the reverse.
+  /// first minimizes makespan when components run concurrently: the small
+  /// blocks fill in behind the big one instead of the reverse.
   std::vector<Component> components;
 
   /// Input variable → component index, or -1 for rowless variables.
@@ -107,13 +106,13 @@ MilpResult StitchDecomposition(const Decomposition& decomposition,
                                const std::vector<MilpResult>& solved);
 
 /// Solves a decomposition of `model` (as returned by DecomposeModel on that
-/// same model): submits the components concurrently to one work-stealing
-/// pool (SolveMilpBatch), then stitches the per-component optima back into
-/// one MilpResult in the input variable space — objective = Σ component
-/// optima + rowless contribution + objective constant; `num_components` /
-/// `largest_component_vars` filled in. Search counters are not stitched:
-/// each component solve publishes its own milp.* registry counters (plus
-/// milp.instance.<k>.* attribution on the parallel batch path).
+/// same model): solves the components with SolveMilpBatch (one serial search
+/// each, up to num_threads at once), then stitches the per-component optima
+/// back into one MilpResult in the input variable space — objective = Σ
+/// component optima + rowless contribution + objective constant;
+/// `num_components` / `largest_component_vars` filled in. Search counters
+/// are not stitched: each component solve publishes its own milp.* registry
+/// counters.
 ///
 /// Status combination mirrors what a monolithic solve would report: any
 /// component unbounded → kUnbounded; any component (or constant row) with an

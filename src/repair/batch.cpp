@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <numeric>
 #include <optional>
 #include <set>
 #include <utility>
@@ -12,7 +11,6 @@
 #include "constraints/eval.h"
 #include "milp/decompose.h"
 #include "milp/presolve.h"
-#include "milp/scheduler.h"
 #include "obs/context.h"
 #include "util/task_pool.h"
 
@@ -184,9 +182,8 @@ std::vector<Result<RepairOutcome>> ComputeRepairBatch(
       });
     }
 
-    // Pool every component of every prepared document into one batch,
-    // largest model first across documents (same makespan argument as the
-    // per-document decomposition order; ties keep request order).
+    // Pool every component of every prepared document into one batch;
+    // SolveMilpBatch deals the largest model first across documents.
     struct Slot {
       size_t doc;
       size_t comp;
@@ -204,31 +201,14 @@ std::vector<Result<RepairOutcome>> ComputeRepairBatch(
         slots.push_back(Slot{doc_index, c});
       }
     }
-    std::vector<size_t> order(batch.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      const int na = batch[a].model->num_variables();
-      const int nb = batch[b].model->num_variables();
-      if (na != nb) return na > nb;
-      if (slots[a].doc != slots[b].doc) return slots[a].doc < slots[b].doc;
-      return slots[a].comp < slots[b].comp;
-    });
-    std::vector<milp::BatchModel> sorted_batch;
-    sorted_batch.reserve(batch.size());
-    std::vector<Slot> sorted_slots;
-    sorted_slots.reserve(slots.size());
-    for (size_t k : order) {
-      sorted_batch.push_back(std::move(batch[k]));
-      sorted_slots.push_back(slots[k]);
-    }
 
     // ONE fused solve for the whole round.
     double batch_wall = 0;
     std::vector<milp::MilpResult> component_solutions;
-    if (!sorted_batch.empty()) {
+    if (!batch.empty()) {
       obs::Span solve_span(run, "repair.solve");
       const auto s0 = std::chrono::steady_clock::now();
-      component_solutions = milp::SolveMilpBatch(sorted_batch, milp_options);
+      component_solutions = milp::SolveMilpBatch(batch, milp_options);
       batch_wall = Seconds(s0, std::chrono::steady_clock::now());
     }
 
@@ -241,7 +221,7 @@ std::vector<Result<RepairOutcome>> ComputeRepairBatch(
                                        milp::MilpResult{});
     }
     for (size_t k = 0; k < component_solutions.size(); ++k) {
-      docs[sorted_slots[k].doc].ctx.component_results[sorted_slots[k].comp] =
+      docs[slots[k].doc].ctx.component_results[slots[k].comp] =
           std::move(component_solutions[k]);
     }
 
@@ -251,9 +231,8 @@ std::vector<Result<RepairOutcome>> ComputeRepairBatch(
       if (doc.ctx.decomposed) {
         milp::MilpResult stitched = milp::StitchDecomposition(
             doc.ctx.decomposition, *doc.target, doc.ctx.component_results);
-        // The pool is shared across documents, so per-document wall
-        // attribution is not meaningful; every document records the round's
-        // batch wall (see batch.h).
+        // The round's components run together across documents; every
+        // document records the round's batch wall (see batch.h).
         stitched.wall_seconds = batch_wall;
         if (doc.ctx.used_presolve) {
           if (stitched.has_incumbent) {

@@ -10,22 +10,21 @@
 /// solved as ONE `SolveMilpBatch` call over the union of their
 /// constraint-graph components.
 ///
-/// `RepairEngine::ComputeRepair` pays the scheduler entry (thread fan-out,
-/// pool warm-up) once per document; a batch of N documents pays it N times
-/// and leaves workers idle whenever one document's components drain before
-/// the next call starts. `ComputeRepairBatch` instead runs the engine's
-/// per-attempt pipeline — translate, presolve, decompose — per document,
-/// pools every component of every document into a single batch (sorted
-/// largest-first across documents, like the per-document decomposition
-/// order), solves once, and stitches each document's slice back through
+/// `RepairEngine::ComputeRepair` solves one document's components at a
+/// time, so a batch of N documents leaves threads idle whenever one
+/// document's components drain before the next call starts.
+/// `ComputeRepairBatch` instead runs the engine's per-attempt pipeline —
+/// translate, presolve, decompose — per document, pools every component of
+/// every document into a single batch (dealt largest-first across
+/// documents), solves once, and stitches each document's slice back through
 /// `StitchDecomposition`. Big-M retries stay per document: a saturated
 /// document re-enters the next round's batch with grown M and
 /// clean-component pins while finished documents drop out.
 ///
-/// Per-document results are bit-identical to `ComputeRepair` at
-/// `num_threads <= 1` (the serial batch path solves each component with the
-/// same deterministic `SolveMilp` the per-document path bottoms out in) and
-/// agree on any thread count whenever optima are unique.
+/// Per-document results are bit-identical to `ComputeRepair` at every
+/// thread count: each component is one serial `SolveMilp` search, exactly
+/// what the per-document path bottoms out in, and the thread count only
+/// decides how many of them run at once.
 
 namespace dart::repair {
 

@@ -54,10 +54,10 @@ struct RepairStats {
   double matrix_density = 0;
   double practical_m = 0;
   double theoretical_m_log10 = 0;
-  // Search counters (nodes, LP iterations, warm solves, steals, per-thread
-  // node counts) live exclusively in the obs registry now
-  // (docs/observability.md): attach RepairEngineOptions::run and diff
-  // registry snapshots around ComputeRepair to read them.
+  // Search counters (nodes, LP iterations, warm solves) live exclusively in
+  // the obs registry now (docs/observability.md): attach
+  // RepairEngineOptions::run and diff registry snapshots around
+  // ComputeRepair to read them.
   int bigm_retries = 0;
   double translate_seconds = 0;
   double solve_seconds = 0;

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "constraints/eval.h"
-#include "milp/scheduler.h"
 #include "obs/context.h"
 
 namespace dart::repair {

@@ -24,7 +24,7 @@
 /// \file server.h
 /// DART as a service: one RepairServer multiplexes N tenants — each an
 /// isolated (metadata, constraint program, pipeline options) triple — over
-/// one shared work-stealing TaskPool, so a deployment serves many
+/// one shared TaskPool, so a deployment serves many
 /// acquisition schemas from one process without over-provisioning a pool
 /// per tenant.
 ///
@@ -43,8 +43,8 @@
 /// the destructor — stops admission, drains every accepted item, fulfills
 /// its future, and joins the workers, so an accepted future is always
 /// eventually ready. Results are computed by ordinary DartPipeline calls
-/// with per-tenant options; at `milp.search.num_threads == 1` they are
-/// bit-identical to serial per-tenant execution (tests/serve_test.cpp).
+/// with per-tenant options, so they are bit-identical to serial per-tenant
+/// execution at any `milp.search.num_threads` (tests/serve_test.cpp).
 ///
 /// Observability: the server owns one RunContext (tail sampling on by
 /// default — trace.h) shared by every tenant pipeline unless a tenant

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <thread>
@@ -9,24 +11,22 @@
 #include <vector>
 
 /// \file task_pool.h
-/// A reusable work-stealing task pool, factored out of the parallel MILP
-/// scheduler (milp/scheduler.cpp) so other fan-out stages — batch document
-/// acquisition, per-attempt translation — share one pool implementation
-/// instead of growing their own (DESIGN.md, "Batch ingestion").
+/// A small task pool shared by the fan-out stages — batch document
+/// acquisition, per-document translation, concurrent component searches
+/// (ParallelFor) — and the serving layer's long-lived worker pool
+/// (DESIGN.md, "Batch ingestion").
 ///
-/// Shape and invariants are exactly the scheduler's:
-///   - one deque per worker; the owner pushes/pops at the bottom (LIFO
-///     dive), thieves steal from the top (the oldest task — the largest
-///     stolen subtree when tasks form a tree);
-///   - tasks are coarse (an LP solve, an HTML document), so a plain mutex
-///     per deque is uncontended in practice and far simpler than a
-///     lock-free Chase–Lev deque;
+/// Shape and invariants:
+///   - one FIFO queue of independent tasks, taken in the order they were
+///     seeded (seed largest-first and the big tasks start first);
+///   - tasks are coarse (an HTML document, a component's whole
+///     branch-and-bound search), so one mutex is uncontended in practice;
 ///   - termination via one atomic count of *open* tasks (queued + in
-///     flight). A worker holding a task keeps the count positive until it
-///     calls Retire(), after any children have been pushed — so count == 0
-///     means no task exists anywhere and no task can ever appear again;
+///     flight): a worker that finds the queue empty exits once the count is
+///     zero. Hold() keeps the count positive for pools that outlive their
+///     current backlog;
 ///   - an idle worker spins (yield ×64, then 50 µs sleeps) rather than
-///     blocking: pools live for one solve/batch call, not for a process.
+///     blocking.
 ///
 /// Per-worker busy time is recorded between successful Next() calls, giving
 /// the utilization figure the batch-ingestion benchmark gates on.
@@ -51,21 +51,18 @@ template <typename Task>
 class TaskPool {
  public:
   explicit TaskPool(int num_threads)
-      : deques_(static_cast<size_t>(num_threads < 1 ? 1 : num_threads)) {}
+      : num_workers_(num_threads < 1 ? 1 : num_threads) {}
 
-  int num_workers() const { return static_cast<int>(deques_.size()); }
+  int num_workers() const { return num_workers_; }
 
-  /// Enqueues a root task. Tasks are dealt round-robin across the worker
-  /// deques in call order — seed largest-first and the big tasks start
-  /// immediately on distinct workers while the small ones pack in around
-  /// them. Safe to call concurrently with Run() from any producer thread
-  /// (the serving layer submits while workers drain), as long as the pool
-  /// is held open — without a Hold(), Run() may have already observed
-  /// open == 0 and returned.
+  /// Enqueues a task at the back of the queue. Safe to call concurrently
+  /// with Run() from any producer thread (the serving layer submits while
+  /// workers drain), as long as the pool is held open — without a Hold(),
+  /// Run() may have already observed open == 0 and returned.
   void Seed(Task task) {
     open_.fetch_add(1, std::memory_order_acq_rel);
-    const size_t slot = seeded_.fetch_add(1, std::memory_order_relaxed);
-    deques_[slot % deques_.size()].PushBottom(std::move(task));
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.push_back(std::move(task));
   }
 
   /// Keeps Run() alive while no task is queued: each Hold() adds one
@@ -80,75 +77,41 @@ class TaskPool {
   void Unhold() { open_.fetch_sub(1, std::memory_order_acq_rel); }
 
   /// One worker's handle into the pool; the Run() body receives one and owns
-  /// it for the duration. The protocol mirrors the MILP scheduler's loop:
+  /// it for the duration:
   ///
   ///   Task t;
   ///   while (worker.Next(&t)) {
-  ///     ... process t, possibly worker.Push(child) ...
-  ///     worker.Retire();          // after children are pushed
+  ///     ... process t ...
+  ///     worker.Retire();
   ///   }
-  ///
-  /// Retire() after Push() preserves the termination invariant: the open
-  /// count never touches zero while a task that may still spawn work exists.
   class Worker {
    public:
     int id() const { return id_; }
 
-    /// Acquires the next task: own deque's bottom first, then steals from
-    /// the other deques' tops (`stolen` reports which). Blocks through the
-    /// idle backoff until a task arrives, every open task is retired, or the
-    /// pool is aborted; returns false on the latter two. Does NOT retire the
-    /// previously returned task — that is Retire()'s job.
-    bool Next(Task* out, bool* stolen = nullptr) {
+    /// Takes the task at the front of the queue. Blocks through the idle
+    /// backoff until a task arrives or every open task is retired; returns
+    /// false on the latter. Does NOT retire the previously returned task —
+    /// that is Retire()'s job.
+    bool Next(Task* out) {
       AccumulateBusy();
-      const int n = static_cast<int>(pool_->deques_.size());
       int idle_spins = 0;
-      while (!pool_->abort_.load(std::memory_order_relaxed)) {
-        bool got = pool_->deques_[static_cast<size_t>(id_)].PopBottom(out);
-        bool was_steal = false;
-        for (int k = 1; k < n && !got; ++k) {
-          got = pool_->deques_[static_cast<size_t>((id_ + k) % n)].StealTop(
-              out);
-          was_steal = got;
-        }
-        if (got) {
-          if (stolen != nullptr) *stolen = was_steal;
-          busy_since_ = std::chrono::steady_clock::now();
-          running_ = true;
-          return true;
-        }
-        if (pool_->open_.load(std::memory_order_acquire) == 0) break;
+      while (!pool_->TryPop(out)) {
+        if (pool_->open_.load(std::memory_order_acquire) == 0) return false;
         if (++idle_spins > 64) {
           std::this_thread::sleep_for(std::chrono::microseconds(50));
         } else {
           std::this_thread::yield();
         }
       }
-      return false;
-    }
-
-    /// Pushes a new task onto this worker's bottom (open count +1).
-    void Push(Task task) {
-      pool_->open_.fetch_add(1, std::memory_order_acq_rel);
-      pool_->deques_[static_cast<size_t>(id_)].PushBottom(std::move(task));
-    }
-
-    /// Re-queues a task withOUT touching the open count — for handing back a
-    /// task the worker will not process (e.g. the scheduler's node-limit
-    /// path, which wants the task inspectable by Drain() afterwards). The
-    /// caller still owes the Retire() it skipped, so only use this on a path
-    /// that also aborts the pool.
-    void Requeue(Task task) {
-      pool_->deques_[static_cast<size_t>(id_)].PushBottom(std::move(task));
+      busy_since_ = std::chrono::steady_clock::now();
+      running_ = true;
+      return true;
     }
 
     /// Retires the task most recently returned by Next() (open count −1).
     void Retire() {
       pool_->open_.fetch_sub(1, std::memory_order_acq_rel);
     }
-
-    /// Stops the whole pool: every worker's next Next() returns false.
-    void Abort() { pool_->abort_.store(true, std::memory_order_relaxed); }
 
     double busy_seconds() const { return busy_seconds_; }
 
@@ -200,64 +163,28 @@ class TaskPool {
     }
   }
 
-  /// Tasks left in the deques after Run() — nonempty only after an abort.
-  /// Exclusive access (no workers remain), hence non-const drain.
-  std::vector<Task> Drain() {
-    std::vector<Task> out;
-    for (WorkerDeque& deque : deques_) deque.DrainInto(&out);
-    return out;
-  }
-
-  bool aborted() const { return abort_.load(std::memory_order_relaxed); }
-
   /// Valid after Run() returns.
   const TaskPoolStats& stats() const { return stats_; }
 
  private:
-  /// One worker's task store. Owner uses the bottom, thieves the top.
-  class WorkerDeque {
-   public:
-    void PushBottom(Task&& task) {
-      std::lock_guard<std::mutex> lock(mu_);
-      deque_.push_back(std::move(task));
-    }
+  bool TryPop(Task* out) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (queue_.empty()) return false;
+    *out = std::move(queue_.front());
+    queue_.pop_front();
+    return true;
+  }
 
-    bool PopBottom(Task* out) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (deque_.empty()) return false;
-      *out = std::move(deque_.back());
-      deque_.pop_back();
-      return true;
-    }
-
-    bool StealTop(Task* out) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (deque_.empty()) return false;
-      *out = std::move(deque_.front());
-      deque_.pop_front();
-      return true;
-    }
-
-    void DrainInto(std::vector<Task>* out) {
-      for (Task& task : deque_) out->push_back(std::move(task));
-      deque_.clear();
-    }
-
-   private:
-    std::mutex mu_;
-    std::deque<Task> deque_;
-  };
-
-  std::vector<WorkerDeque> deques_;
+  const int num_workers_;
+  std::mutex mu_;
+  std::deque<Task> queue_;  // guarded by mu_
   std::atomic<int64_t> open_{0};
-  std::atomic<bool> abort_{false};
-  std::atomic<size_t> seeded_{0};
   TaskPoolStats stats_;
 };
 
 /// Convenience fan-out over the pool: runs `fn(index)` for every index of
-/// `order` (a permutation or subset of work items, dealt to the pool in the
-/// given order — put the biggest items first) on min(num_threads, |order|)
+/// `order` (a permutation or subset of work items, started in the given
+/// order — put the biggest items first) on min(num_threads, |order|)
 /// workers. `fn` is invoked concurrently and must be thread-safe. With one
 /// worker or one item everything runs inline on the calling thread.
 template <typename Fn>

@@ -1,10 +1,9 @@
 // Tests for DartPipeline::SubmitBatch (DESIGN.md "Batch ingestion"): the
 // fused N-document path must be observably equivalent to N independent
 // Submit() calls — identical acquisitions, violations, repairs, and
-// repaired instances on the serial path — while failures stay per-document,
-// the shared grounding happens exactly once per document, slots carry their
-// request ids, and the deprecated Process*/ProcessBatch* wrappers stay
-// behaviorally identical to the unified entry points.
+// repaired instances at every thread count — while failures stay
+// per-document, the shared grounding happens exactly once per document, and
+// slots carry their request ids.
 
 #include <gtest/gtest.h>
 
@@ -120,9 +119,10 @@ TEST(BatchPipelineTest, MatchesSerialProcessAcrossSeeds) {
   }
 }
 
-// With a threaded pool the per-component optima may tie differently, so the
-// guarantee weakens to: same repair cardinality, and a repaired instance
-// that satisfies the constraint program.
+// Components are searched serially and independently, so the thread count
+// only decides how many run at once: at 4 threads the batch (and Submit)
+// must be bit-identical to the 1-thread path, ties between equal-cardinality
+// repairs included, and every repaired instance must satisfy the program.
 TEST(BatchPipelineTest, ThreadedBatchMatchesCardinalityAndConsistency) {
   Rng ref_rng(7);
   rel::Database reference =
@@ -135,28 +135,33 @@ TEST(BatchPipelineTest, ThreadedBatchMatchesCardinalityAndConsistency) {
   threaded_options.engine.milp.search.num_threads = 4;
   auto threaded_pipeline = MakePipeline(reference, threaded_options);
   ASSERT_TRUE(threaded_pipeline.ok());
-
-  const std::vector<std::string> htmls = MakeBatchHtmls(99, 8, {1, 2});
-  BatchOutcome batch =
-      threaded_pipeline->SubmitBatch(BatchRequest::FromHtmls(htmls));
-  ASSERT_EQ(batch.documents.size(), htmls.size());
   cons::ConsistencyChecker checker(&threaded_pipeline->constraints());
-  for (size_t i = 0; i < htmls.size(); ++i) {
-    SCOPED_TRACE("doc " + std::to_string(i));
-    const auto& doc = batch.documents[i].result;
-    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-    auto serial = serial_pipeline->Submit(ProcessRequest::FromHtml(htmls[i]));
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    EXPECT_EQ(doc->repair.repair.cardinality(),
-              serial->repair.repair.cardinality());
-    auto residual = checker.Check(doc->repaired);
-    ASSERT_TRUE(residual.ok());
-    EXPECT_TRUE(residual->empty());
+
+  for (uint64_t seed : {99, 1, 2, 3, 4, 5, 6, 7}) {
+    const std::vector<std::string> htmls = MakeBatchHtmls(seed, 8, {1, 2});
+    BatchOutcome batch =
+        threaded_pipeline->SubmitBatch(BatchRequest::FromHtmls(htmls));
+    ASSERT_EQ(batch.documents.size(), htmls.size());
+    for (size_t i = 0; i < htmls.size(); ++i) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " doc " +
+                   std::to_string(i));
+      const auto& doc = batch.documents[i].result;
+      ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+      const auto serial =
+          serial_pipeline->Submit(ProcessRequest::FromHtml(htmls[i]));
+      ExpectDocEqualsSerial(doc, serial);
+      ExpectDocEqualsSerial(
+          threaded_pipeline->Submit(ProcessRequest::FromHtml(htmls[i])),
+          serial);
+      auto residual = checker.Check(doc->repaired);
+      ASSERT_TRUE(residual.ok());
+      EXPECT_TRUE(residual->empty());
+    }
   }
 }
 
 // Consistent documents ride through the batch untouched: already_consistent
-// set, empty repair, repaired == acquired — exactly like Process().
+// set, empty repair, repaired == acquired — exactly like Submit().
 TEST(BatchPipelineTest, MixedConsistentAndInconsistentBatch) {
   Rng ref_rng(7);
   rel::Database reference =
@@ -188,7 +193,7 @@ TEST(BatchPipelineTest, MixedConsistentAndInconsistentBatch) {
 }
 
 // A document that fails mid-batch fails alone: its slot carries the same
-// error Process() reports for it, and every sibling is repaired as if the
+// error Submit() reports for it, and every sibling is repaired as if the
 // bad document were never submitted. The failing document is *irreparable*
 // — an extra constraint over the steady Year attribute grounds to a
 // violated constant row for any document containing year 1999, so its
@@ -258,14 +263,14 @@ TEST(BatchPipelineTest, GroundsOncePerDocument) {
   const obs::MetricsSnapshot mid = run.metrics().Snapshot();
   EXPECT_EQ(mid.DeltaSince(before).Counter("repair.groundings"), 3);
 
-  // Process() also grounds exactly once for the whole call (detection +
+  // Submit() also grounds exactly once for the whole call (detection +
   // every repair attempt + verification included).
   ASSERT_TRUE(pipeline->Submit(ProcessRequest::FromHtml(htmls[0])).ok());
   const obs::MetricsSnapshot after = run.metrics().Snapshot();
   EXPECT_EQ(after.DeltaSince(mid).Counter("repair.groundings"), 1);
 }
 
-// The positional overload is Process()-equivalent per document, and a
+// The positional overload is Submit()-equivalent per document, and a
 // document whose geometric reconstruction fails occupies only its own slot.
 TEST(BatchPipelineTest, PositionalBatchMatchesPositionalProcess) {
   Rng ref_rng(7);
@@ -299,33 +304,6 @@ TEST(BatchPipelineTest, PositionalBatchMatchesPositionalProcess) {
     ExpectDocEqualsSerial(
         batch.documents[i].result,
         pipeline->Submit(ProcessRequest::FromPositional(documents[i])));
-  }
-}
-
-// The deprecated entry points are thin wrappers: Process / ProcessBatch /
-// ProcessBatchPositional must return exactly what the unified Submit /
-// SubmitBatch calls they forward to return.
-TEST(BatchPipelineTest, DeprecatedWrappersMatchUnifiedApi) {
-  Rng ref_rng(7);
-  rel::Database reference =
-      CashBudgetFixture::Random({}, &ref_rng).value();
-  PipelineOptions options;
-  options.engine.milp.search.num_threads = 1;
-  auto pipeline = MakePipeline(reference, options);
-  ASSERT_TRUE(pipeline.ok());
-
-  const std::vector<std::string> htmls = MakeBatchHtmls(13, 3, {1, 0, 2});
-  ExpectDocEqualsSerial(pipeline->Process(htmls[0]),
-                        pipeline->Submit(ProcessRequest::FromHtml(htmls[0])));
-  auto wrapped = pipeline->ProcessBatch(htmls);
-  ASSERT_TRUE(wrapped.ok()) << wrapped.status().ToString();
-  BatchOutcome unified = pipeline->SubmitBatch(BatchRequest::FromHtmls(htmls));
-  ASSERT_EQ(wrapped->documents.size(), unified.documents.size());
-  for (size_t i = 0; i < htmls.size(); ++i) {
-    SCOPED_TRACE("doc " + std::to_string(i));
-    EXPECT_EQ(wrapped->documents[i].id, unified.documents[i].id);
-    ExpectDocEqualsSerial(wrapped->documents[i].result,
-                          unified.documents[i].result);
   }
 }
 

@@ -1,10 +1,10 @@
 // Tests for the constraint-graph decomposition layer (milp/decompose.h) and
-// the batch scheduler entry point: union-find component extraction, rowless
-// analytic fixing, single-component passthrough, the empty (all-presolved)
-// model, the SolveMilpDecomposed == SolveMilp property over random block
-// models (including pin-split chains), SolveMilpBatch agreement with
-// individual solves, and the engine's decomposition dispatch with
-// per-component big-M retries.
+// the batch entry point: union-find component extraction, rowless analytic
+// fixing, single-component passthrough, the empty (all-presolved) model, the
+// SolveMilpDecomposed == SolveMilp property over random block models
+// (including pin-split chains), SolveMilpBatch agreement with individual
+// solves and its thread-count independence, and the engine's decomposition
+// dispatch with per-component big-M retries.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "milp/decompose.h"
 #include "milp/model.h"
 #include "milp/presolve.h"
-#include "milp/scheduler.h"
 #include "ocr/cash_budget.h"
 #include "repair/engine.h"
 #include "util/random.h"
@@ -203,7 +202,7 @@ TEST(DecomposeModelTest, AllFixedModelReducesToEmptyDecomposition) {
   EXPECT_NEAR(solved.objective, 12.0, kTol);
 }
 
-// --- Batch scheduler -------------------------------------------------------
+// --- Batch solve -----------------------------------------------------------
 
 TEST(SolveMilpBatchTest, EmptyBatchReturnsNothing) {
   MilpOptions options;
@@ -244,6 +243,7 @@ TEST(SolveMilpBatchTest, MatchesIndividualSolves) {
   batch[0].model = &knapsack;
   batch[1].model = &odd;
   batch[2].model = &cover;
+  std::vector<MilpResult> serial;
   for (int threads : {1, 4}) {
     MilpOptions options;
     options.search.num_threads = threads;
@@ -255,6 +255,54 @@ TEST(SolveMilpBatchTest, MatchesIndividualSolves) {
     EXPECT_EQ(results[1].status, MilpResult::SolveStatus::kInfeasible);
     ASSERT_EQ(results[2].status, MilpResult::SolveStatus::kOptimal);
     EXPECT_NEAR(results[2].objective, 3.0, kTol);
+    if (threads == 1) {
+      serial = results;
+      continue;
+    }
+    for (size_t k = 0; k < results.size(); ++k) {
+      EXPECT_EQ(results[k].point, serial[k].point) << "model " << k;
+    }
+  }
+}
+
+TEST(SolveMilpBatchTest, NodeLimitIsPerModelAtEveryThreadCount) {
+  // Two independent models under max_nodes = 1: each model gets its own
+  // one-node budget, so the model whose root LP is integral still proves
+  // optimality while the fractional one stops at the node limit — at every
+  // thread count.
+  Model integral;
+  {
+    const int x = integral.AddVariable("x", VarType::kInteger, 0, 9);
+    integral.AddRow("r", {{x, 1.0}}, RowSense::kGe, 4);
+    integral.SetObjective({{x, 1.0}}, 0, ObjectiveSense::kMinimize);
+  }
+  Model fractional;
+  {
+    std::vector<LinearTerm> row, obj;
+    for (int i = 0; i < 12; ++i) {
+      const int v = fractional.AddVariable("b" + std::to_string(i),
+                                           VarType::kBinary, 0, 1);
+      row.push_back({v, static_cast<double>(2 * i + 3)});
+      obj.push_back({v, 1.0});
+    }
+    fractional.AddRow("pack", row, RowSense::kEq, 41);
+    fractional.SetObjective(obj, 0, ObjectiveSense::kMinimize);
+  }
+  std::vector<BatchModel> batch(2);
+  batch[0].model = &fractional;
+  batch[1].model = &integral;
+  for (int threads : {1, 4}) {
+    MilpOptions options;
+    options.search.num_threads = threads;
+    options.search.max_nodes = 1;
+    options.search.rounding_heuristic = false;
+    const std::vector<MilpResult> results = SolveMilpBatch(batch, options);
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[0].status, MilpResult::SolveStatus::kNodeLimit)
+        << "threads=" << threads;
+    EXPECT_EQ(results[1].status, MilpResult::SolveStatus::kOptimal)
+        << "threads=" << threads;
+    EXPECT_NEAR(results[1].objective, 4.0, kTol) << "threads=" << threads;
   }
 }
 
@@ -349,6 +397,7 @@ TEST_P(DecomposedAgreementTest, MatchesWholeModelSolve) {
     }
   }
 
+  std::vector<double> serial_point;
   for (int threads : {1, 4}) {
     MilpOptions options;
     options.search.num_threads = threads;
@@ -359,6 +408,12 @@ TEST_P(DecomposedAgreementTest, MatchesWholeModelSolve) {
       EXPECT_NEAR(split.objective, whole.objective, 1e-5)
           << "seed=" << GetParam() << " threads=" << threads;
       EXPECT_TRUE(IsFeasiblePoint(model, split.point, 1e-5));
+    }
+    if (threads == 1) {
+      serial_point = split.point;
+    } else {
+      EXPECT_EQ(split.point, serial_point)
+          << "seed=" << GetParam() << " threads=" << threads;
     }
   }
 
@@ -434,6 +489,7 @@ TEST(DecomposeEngineTest, TranslatedMultiDocObjectiveIsErrorCount) {
   auto translation =
       TranslateToMilp(scenario.acquired, scenario.constraints);
   ASSERT_TRUE(translation.ok()) << translation.status().ToString();
+  std::vector<double> serial_whole, serial_split;
   for (int threads : {1, 4}) {
     milp::MilpOptions options;
     options.search.num_threads = threads;
@@ -445,6 +501,13 @@ TEST(DecomposeEngineTest, TranslatedMultiDocObjectiveIsErrorCount) {
         milp::SolveMilpDecomposed(translation->model, options);
     ASSERT_EQ(split.status, milp::MilpResult::SolveStatus::kOptimal);
     EXPECT_NEAR(split.objective, 2.0, 1e-6) << "threads=" << threads;
+    if (threads == 1) {
+      serial_whole = whole.point;
+      serial_split = split.point;
+    } else {
+      EXPECT_EQ(whole.point, serial_whole) << "threads=" << threads;
+      EXPECT_EQ(split.point, serial_split) << "threads=" << threads;
+    }
   }
 }
 
@@ -486,13 +549,13 @@ TEST(DecomposeEngineTest, PinnedCellsShowUpInPresolveStats) {
   EXPECT_GE(outcome->stats.num_components, 2);
 }
 
-TEST(DecomposeEngineTest, PerThreadNodesAccumulateAcrossBigMRetries) {
+TEST(DecomposeEngineTest, NodeCountsAccumulateAcrossBigMRetries) {
   // A deliberately small fixed big-M (the translator only floors it at
   // 1 + max |v| = 2 here, so fixed_value = 50 sticks) makes the first
   // attempt infeasible: each year's balance must be repaired to 1000 but
   // the z box is [-50, 50]. The engine must enlarge M ×100 and re-solve;
-  // per-thread node counts must accumulate across the retries exactly like
-  // `nodes` does, not be overwritten by the last attempt.
+  // the registry's search counters must accumulate across the retries, and
+  // be the same at 1 and 2 threads.
   rel::Database db;
   {
     auto schema = rel::RelationSchema::Create(
@@ -521,32 +584,36 @@ constraint target: Ledger(y, _) => bal(y) = 1000;
   ASSERT_TRUE(parsed.ok()) << parsed.ToString();
 
   for (bool decompose : {false, true}) {
-    obs::RunContext run;
-    RepairEngineOptions options;
-    options.run = &run;
-    options.milp.decomposition.use_components = decompose;
-    options.translator.big_m.fixed_value = 50;
-    options.milp.search.num_threads = 2;
-    RepairEngine engine(options);
-    auto outcome = engine.ComputeRepair(db, constraints);
-    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    EXPECT_GE(outcome->stats.bigm_retries, 1) << "decompose=" << decompose;
-    EXPECT_EQ(outcome->repair.cardinality(), 2u);
-    // The per-thread attribution counters must account for every node, big-M
-    // retries included.
-    const obs::MetricsSnapshot snap = run.metrics().Snapshot();
-    int64_t per_thread_total = 0;
-    for (const auto& [name, value] : snap.counters) {
-      if (name.rfind("milp.scheduler.thread.", 0) == 0 &&
-          name.size() > 6 && name.compare(name.size() - 6, 6, ".nodes") == 0) {
-        per_thread_total += value;
+    int64_t serial_nodes = -1;
+    for (int threads : {1, 2}) {
+      obs::RunContext run;
+      RepairEngineOptions options;
+      options.run = &run;
+      options.milp.decomposition.use_components = decompose;
+      options.translator.big_m.fixed_value = 50;
+      options.milp.search.num_threads = threads;
+      RepairEngine engine(options);
+      auto outcome = engine.ComputeRepair(db, constraints);
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      EXPECT_GE(outcome->stats.bigm_retries, 1) << "decompose=" << decompose;
+      EXPECT_EQ(outcome->repair.cardinality(), 2u);
+      // Every attempt's solves publish: more solves than one attempt needs,
+      // and at least one node per solve.
+      const obs::MetricsSnapshot snap = run.metrics().Snapshot();
+      const int64_t per_attempt = decompose ? 2 : 1;
+      EXPECT_GT(snap.Counter("milp.solves"), per_attempt)
+          << "decompose=" << decompose
+          << " retries=" << outcome->stats.bigm_retries;
+      EXPECT_GE(snap.Counter("milp.nodes"), snap.Counter("milp.solves"));
+      if (threads == 1) {
+        serial_nodes = snap.Counter("milp.nodes");
+      } else {
+        EXPECT_EQ(snap.Counter("milp.nodes"), serial_nodes)
+            << "decompose=" << decompose;
       }
-    }
-    EXPECT_EQ(per_thread_total, snap.Counter("milp.nodes"))
-        << "decompose=" << decompose
-        << " retries=" << outcome->stats.bigm_retries;
-    if (decompose) {
-      EXPECT_EQ(outcome->stats.num_components, 2);
+      if (decompose) {
+        EXPECT_EQ(outcome->stats.num_components, 2);
+      }
     }
   }
 }

@@ -35,8 +35,9 @@ TEST(IncrementalParityTest, MatchesEngineOverPinSequencesAcrossSeeds) {
     const bench::Scenario scenario = bench::MakeMultiDocScenario(
         seed, /*docs=*/2, /*years=*/2, /*errors_per_doc=*/2);
     RepairEngineOptions options;
-    // Odd seeds run the parallel batch scheduler underneath the incremental
-    // session, exercising the BatchModel::root_basis plumbing.
+    // Odd seeds solve dirty components concurrently underneath the
+    // incremental session, exercising the BatchModel::root_basis plumbing
+    // across threads.
     options.milp.search.num_threads = seed % 2 == 0 ? 1 : 2;
     RepairEngine engine(options);
     IncrementalRepairSession session(scenario.acquired, scenario.constraints,

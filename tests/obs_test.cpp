@@ -1,6 +1,6 @@
 // Tests for the dart::obs observability layer: the sharded metrics registry
 // under write contention, snapshot deltas, the span tree produced by a
-// decomposed batch solve across scheduler threads, the no-op null-context
+// decomposed batch solve across pool threads, the no-op null-context
 // path, the JSON run report (round-tripped through a minimal in-test
 // parser), the engine's registry-published search counters, the bounded
 // trace ring under overflow (head + latency-biased tail sampling), and the
@@ -493,8 +493,7 @@ TEST(NullContextTest, SinkIsSafeAndCheap) {
 
 // --- Span tree across the decomposed batch solver --------------------------
 
-// Two independent blocks, so the decomposed solve runs a 2-instance batch on
-// the work-stealing scheduler.
+// Two independent blocks, so the decomposed solve runs a 2-model batch.
 milp::Model TwoBlockModel() {
   milp::Model model;
   const int a0 = model.AddVariable("a0", milp::VarType::kBinary, 0, 1);
@@ -509,54 +508,58 @@ milp::Model TwoBlockModel() {
 }
 
 TEST(TraceTest, DecomposedBatchSolveFormsWellNestedSpanTree) {
-  RunContext run;
-  milp::MilpOptions options;
-  options.objective_is_integral = true;
-  options.search.num_threads = 4;
-  options.decomposition.use_presolve = false;  // keep both components alive
-  options.run = &run;
-  const milp::Model model = TwoBlockModel();
-  const milp::MilpResult result = milp::SolveMilpDecomposed(model, options);
-  ASSERT_EQ(result.status, milp::MilpResult::SolveStatus::kOptimal);
-  ASSERT_EQ(result.num_components, 2);
-
-  const std::vector<SpanRecord> spans = run.trace().Snapshot();
-  int64_t batch_id = 0;
-  std::set<int64_t> worker_ids;
-  for (const SpanRecord& span : spans) {
-    EXPECT_LT(span.parent, span.id);
-    EXPECT_GE(span.duration_ns, 0);
-    if (span.name == "milp.batch") {
-      EXPECT_EQ(batch_id, 0) << "exactly one batch span expected";
-      batch_id = span.id;
+  // At 4 threads the two components are searched on pool threads, yet each
+  // gets a milp.instance span parented to the caller's span with its
+  // milp.search inside — and the registry delta equals the 1-thread one.
+  MetricsSnapshot deltas[2];
+  for (int pass = 0; pass < 2; ++pass) {
+    const int threads = pass == 0 ? 1 : 4;
+    RunContext run;
+    milp::MilpOptions options;
+    options.objective_is_integral = true;
+    options.search.num_threads = threads;
+    options.decomposition.use_presolve = false;  // keep both components alive
+    options.run = &run;
+    const milp::Model model = TwoBlockModel();
+    int64_t caller_id = 0;
+    {
+      Span caller(&run, "caller");
+      caller_id = caller.id();
+      const milp::MilpResult result =
+          milp::SolveMilpDecomposed(model, options);
+      ASSERT_EQ(result.status, milp::MilpResult::SolveStatus::kOptimal);
+      ASSERT_EQ(result.num_components, 2);
     }
-  }
-  ASSERT_NE(batch_id, 0);
-  for (const SpanRecord& span : spans) {
-    if (span.name == "milp.worker") {
-      // Worker threads have no span stack; they parent to the batch span
-      // through the explicit-parent Span constructor.
-      EXPECT_EQ(span.parent, batch_id);
-      worker_ids.insert(span.id);
-    }
-  }
-  EXPECT_FALSE(worker_ids.empty());
 
-  // Single-publish invariant: each component's result is published exactly
-  // once, and the live per-instance counters the workers emit add up to the
-  // batch totals.
-  const MetricsSnapshot snap = run.metrics().Snapshot();
-  EXPECT_EQ(snap.Counter("milp.solves"), 2);
-  EXPECT_GT(snap.Counter("milp.nodes"), 0);
-  EXPECT_GT(snap.Counter("milp.lp_iterations"), 0);
-  EXPECT_EQ(snap.Counter("milp.instance.0.nodes") +
-                snap.Counter("milp.instance.1.nodes"),
-            snap.Counter("milp.nodes"));
-  EXPECT_EQ(snap.Counter("milp.instance.0.lp_iterations") +
-                snap.Counter("milp.instance.1.lp_iterations"),
-            snap.Counter("milp.lp_iterations"));
-  EXPECT_EQ(snap.GaugeOr("milp.components", -1), 2.0);
-  EXPECT_EQ(snap.GaugeOr("milp.largest_component_vars", -1), 2.0);
+    const std::vector<SpanRecord> spans = run.trace().Snapshot();
+    std::set<int64_t> instance_ids;
+    for (const SpanRecord& span : spans) {
+      EXPECT_LT(span.parent, span.id);
+      EXPECT_GE(span.duration_ns, 0);
+      if (span.name == "milp.instance") {
+        EXPECT_EQ(span.parent, caller_id) << "threads=" << threads;
+        instance_ids.insert(span.id);
+      }
+    }
+    EXPECT_EQ(instance_ids.size(), 2u) << "threads=" << threads;
+    int search_spans = 0;
+    for (const SpanRecord& span : spans) {
+      if (span.name != "milp.search") continue;
+      ++search_spans;
+      EXPECT_EQ(instance_ids.count(span.parent), 1u)
+          << "search span not nested under its instance span";
+    }
+    EXPECT_EQ(search_spans, 2) << "threads=" << threads;
+
+    deltas[pass] = run.metrics().Snapshot();
+    EXPECT_EQ(deltas[pass].Counter("milp.solves"), 2);
+    EXPECT_GT(deltas[pass].Counter("milp.nodes"), 0);
+    EXPECT_GT(deltas[pass].Counter("milp.lp_iterations"), 0);
+    EXPECT_EQ(deltas[pass].GaugeOr("milp.components", -1), 2.0);
+    EXPECT_EQ(deltas[pass].GaugeOr("milp.largest_component_vars", -1), 2.0);
+  }
+  EXPECT_EQ(deltas[0].counters, deltas[1].counters);
+  EXPECT_EQ(deltas[0].gauges, deltas[1].gauges);
 }
 
 TEST(TraceTest, SerialBatchNestsSearchUnderInstanceSpans) {
@@ -902,10 +905,6 @@ TEST(EngineStatsTest, RegistryDeltaIsDeterministicAcrossIdenticalRuns) {
   EXPECT_EQ(a.Counter("milp.lp_iterations"), b.Counter("milp.lp_iterations"));
   EXPECT_EQ(a.Counter("milp.lp_warm_solves"),
             b.Counter("milp.lp_warm_solves"));
-  // Single-threaded search: no steals, and all nodes attributed to thread 0.
-  EXPECT_EQ(a.Counter("milp.scheduler.steals"), 0);
-  EXPECT_EQ(a.Counter("milp.scheduler.thread.0.nodes"),
-            a.Counter("milp.nodes"));
   EXPECT_EQ(a.Counter("repair.attempts"), 1);
 }
 

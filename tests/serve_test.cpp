@@ -247,6 +247,77 @@ TEST(RepairServerTest, MultiTenantStressMatchesSerialPipelines) {
   EXPECT_EQ(stats.queue_depth, 0u);
 }
 
+// Tenants whose solver runs 2 components at once must serve exactly what a
+// 1-thread pipeline computes: each component is one serial search, so the
+// thread count cannot change which tied card-minimal repair is returned.
+TEST(RepairServerTest, ThreadedTenantsMatchSerialPipelines) {
+  constexpr int kTenants = 2;
+  ServerOptions server_options;
+  server_options.num_workers = 2;
+  server_options.queue_capacity = 256;
+  RepairServer server(server_options);
+
+  core::PipelineOptions threaded = SerialOptions();
+  threaded.engine.milp.search.num_threads = 2;
+  std::vector<std::unique_ptr<core::DartPipeline>> serial(kTenants);
+  for (int t = 0; t < kTenants; ++t) {
+    auto metadata = MakeMetadata(300 + t, nullptr);
+    ASSERT_TRUE(metadata.ok()) << metadata.status().ToString();
+    TenantOptions tenant_options;
+    tenant_options.pipeline = threaded;
+    ASSERT_TRUE(
+        server.AddTenant("tenant" + std::to_string(t), *metadata,
+                         tenant_options)
+            .ok());
+    auto pipeline = core::DartPipeline::Create(std::move(*metadata),
+                                               SerialOptions());
+    ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+    serial[t] = std::make_unique<core::DartPipeline>(std::move(*pipeline));
+  }
+
+  struct Pending {
+    int tenant;
+    std::vector<std::string> htmls;
+    std::future<Result<BatchOutcome>> batch;
+    std::vector<std::future<Result<ProcessOutcome>>> singles;
+  };
+  std::vector<Pending> pending(kTenants);
+  for (int t = 0; t < kTenants; ++t) {
+    pending[t].tenant = t;
+    BatchRequest request;
+    for (int d = 0; d < 8; ++d) {
+      const uint64_t seed = 3000 + 10 * t + d;
+      pending[t].htmls.push_back(
+          MakeHtml(seed, 1 + seed % 2, 2 + static_cast<int>(seed % 3)));
+      request.documents.push_back(
+          ProcessRequest::FromHtml(pending[t].htmls.back()));
+      auto single = server.Submit(
+          t, ProcessRequest::FromHtml(pending[t].htmls.back()));
+      ASSERT_TRUE(single.ok()) << single.status().ToString();
+      pending[t].singles.push_back(std::move(*single));
+    }
+    auto batch = server.SubmitBatch(t, std::move(request));
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    pending[t].batch = std::move(*batch);
+  }
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(server.Stop().ok());
+
+  for (Pending& p : pending) {
+    Result<BatchOutcome> batch = p.batch.get();
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_EQ(batch->documents.size(), p.htmls.size());
+    for (size_t d = 0; d < p.htmls.size(); ++d) {
+      SCOPED_TRACE("tenant " + std::to_string(p.tenant) + " doc " +
+                   std::to_string(d));
+      const Result<ProcessOutcome> expected =
+          serial[p.tenant]->Submit(ProcessRequest::FromHtml(p.htmls[d]));
+      ExpectOutcomeEquals(batch->documents[d].result, expected);
+      ExpectOutcomeEquals(p.singles[d].get(), expected);
+    }
+  }
+}
+
 // --- Bounded admission ------------------------------------------------------
 
 // Flooding a capacity-4 queue: the first four documents are admitted, every

@@ -1,14 +1,19 @@
 // Tests for the util module: Status/Result plumbing, string helpers, the
-// seeded RNG, and the table printer.
+// seeded RNG, the table printer, and the task pool / ParallelFor fan-out.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <numeric>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "util/random.h"
 #include "util/status.h"
 #include "util/strings.h"
 #include "util/table_printer.h"
+#include "util/task_pool.h"
 
 namespace dart {
 namespace {
@@ -182,6 +187,56 @@ TEST(TablePrinterTest, ShortRowsPadded) {
   printer.AddRow({"x"});
   EXPECT_EQ(printer.row_count(), 1u);
   EXPECT_NO_THROW(printer.ToString());
+}
+
+// --- Task pool --------------------------------------------------------------
+
+TEST(ParallelForTest, EveryIndexRunsExactlyOnce) {
+  constexpr size_t kItems = 100;
+  for (int workers : {1, 3, 8}) {
+    std::vector<size_t> order(kItems);
+    std::iota(order.rbegin(), order.rend(), 0);  // reverse: any order works
+    std::vector<std::atomic<int>> runs(kItems);
+    const util::TaskPoolStats stats = util::ParallelFor(
+        workers, order, [&](size_t index) { runs[index].fetch_add(1); });
+    for (size_t i = 0; i < kItems; ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "workers=" << workers << " i=" << i;
+    }
+    EXPECT_EQ(stats.busy_seconds.size(), static_cast<size_t>(workers));
+  }
+}
+
+TEST(ParallelForTest, OneWorkerRunsInlineInOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  const std::vector<size_t> order = {4, 0, 3, 1, 2};
+  std::vector<size_t> seen;
+  util::ParallelFor(1, order, [&](size_t index) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    seen.push_back(index);
+  });
+  EXPECT_EQ(seen, order);
+}
+
+TEST(TaskPoolTest, HeldPoolRunsTasksSeededWhileRunning) {
+  // The serving pattern: Hold() before Run(), Seed() from another thread
+  // while workers idle, Unhold() to let the pool drain and return.
+  util::TaskPool<int> pool(2);
+  pool.Hold();
+  std::atomic<int> sum{0};
+  std::thread runner([&] {
+    pool.Run([&](util::TaskPool<int>::Worker& worker) {
+      int task = 0;
+      while (worker.Next(&task)) {
+        sum.fetch_add(task);
+        worker.Retire();
+      }
+    });
+  });
+  for (int i = 1; i <= 10; ++i) pool.Seed(i);
+  pool.Unhold();
+  runner.join();
+  EXPECT_EQ(sum.load(), 55);
+  EXPECT_EQ(pool.stats().busy_seconds.size(), 2u);
 }
 
 }  // namespace
