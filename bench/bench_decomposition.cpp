@@ -14,9 +14,9 @@
 //     at ≥ 4 documents.
 //   BM_EngineVsPins — the full engine with decomposition on/off under a
 //     sweep of documents x operator-pin fraction (pins are validation-loop
-//     confirmations at the true value; presolve chases them and cuts the
-//     incidence graph further). Counters surface the component shape and
-//     presolve reductions that RepairStats now carries.
+//     confirmations at the true value, applied as bound changes on their
+//     components). Counters surface the component shape that RepairStats
+//     carries.
 
 #include <benchmark/benchmark.h>
 
@@ -107,8 +107,7 @@ void BM_MilpDecomposed(benchmark::State& state) {
 
 // Full engine, documents x pin-fraction sweep. Pins confirm a deterministic
 // subset of measure cells at their true values, as the validation loop
-// would; presolve chases each pin through its z/y/δ triple and the
-// decomposition splits along the cuts.
+// would; each pin is a bound change on its cell's component.
 void BM_EngineVsPins(benchmark::State& state) {
   const bool decompose = state.range(0) != 0;
   const int docs = static_cast<int>(state.range(1));
@@ -146,10 +145,6 @@ void BM_EngineVsPins(benchmark::State& state) {
   state.counters["components"] = static_cast<double>(stats.num_components);
   state.counters["largest_comp_vars"] =
       static_cast<double>(stats.largest_component_vars);
-  state.counters["presolve_vars_elim"] =
-      static_cast<double>(stats.presolve_variables_eliminated);
-  state.counters["presolve_rows_rm"] =
-      static_cast<double>(stats.presolve_rows_removed);
   state.counters["bb_nodes"] = static_cast<double>(
       dart::bench::CollectRepairCounters(scenario, options, pins).nodes);
 }

@@ -1,14 +1,10 @@
 // Experiment E19 (EXPERIMENTS.md): incremental cross-iteration re-solve.
-// The same supervised validation sessions run twice — from-scratch (every
-// iteration re-translates S*(AC) and re-solves every component) vs
-// incremental (SessionOptions::use_incremental: translate + decompose once,
+// Supervised validation sessions on 4- and 8-document corpora run through
+// the component session (repair/incremental.h): translate + decompose once,
 // re-solve only the components the newest operator pins touched, stitch
-// cached optima for the rest). A batch size of 1 maximizes iteration count,
-// which is the regime the incremental state exists for: per-iteration wall
-// time must drop by the component reuse factor (≥ 5× on a 4+-document
-// corpus). main() additionally asserts, per seed, that both modes land on
-// the *identical* final database — the incremental path is a pure perf
-// change, not a semantics change.
+// cached optima for the rest. A batch size of 1 maximizes iteration count,
+// which is the regime the persisted state exists for. The rows keep their
+// `incremental:1` names so the seeded E19 gate still matches them.
 
 #include <benchmark/benchmark.h>
 
@@ -20,21 +16,18 @@
 
 namespace {
 
-dart::validation::SessionOptions SessionOptionsFor(bool incremental) {
+dart::validation::SessionOptions SessionOptionsFor() {
   dart::validation::SessionOptions options;
-  options.use_incremental = incremental;
   options.examine_batch = 1;
   return options;
 }
 
 void BM_ValidationSession(benchmark::State& state) {
   const int docs = static_cast<int>(state.range(0));
-  const bool incremental = state.range(1) != 0;
   const dart::bench::Scenario scenario = dart::bench::MakeMultiDocScenario(
       /*seed=*/19, docs, /*years=*/2, /*errors_per_doc=*/2);
   const dart::validation::SimulatedOperator op(&scenario.truth);
-  const dart::validation::SessionOptions options =
-      SessionOptionsFor(incremental);
+  const dart::validation::SessionOptions options = SessionOptionsFor();
   size_t loop_iterations = 0;
   for (auto _ : state) {
     auto result = dart::validation::RunValidationSession(
@@ -58,11 +51,9 @@ void BM_ValidationSession(benchmark::State& state) {
   state.counters["per_iter_ms"] =
       seconds * 1e3 / static_cast<double>(timed->iterations);
 
-  // Component-reuse accounting for the incremental rows (all zero on the
-  // from-scratch rows — the counters only exist on the incremental path).
+  // Component-reuse accounting.
   dart::obs::RunContext run;
-  dart::validation::SessionOptions instrumented =
-      SessionOptionsFor(incremental);
+  dart::validation::SessionOptions instrumented = SessionOptionsFor();
   instrumented.run = &run;
   auto traced = dart::validation::RunValidationSession(
       scenario.acquired, scenario.constraints, op, instrumented);
@@ -76,9 +67,10 @@ void BM_ValidationSession(benchmark::State& state) {
       snap.Counter("repair.incremental.translate_skipped"));
 }
 
-// range(1): 0 = from-scratch engine per iteration, 1 = incremental session.
+// range(1) is always 1: the from-scratch rows (0) went with the
+// from-scratch session path; the name keeps matching the seed baseline.
 BENCHMARK(BM_ValidationSession)
-    ->ArgsProduct({{4, 8}, {0, 1}})
+    ->ArgsProduct({{4, 8}, {1}})
     ->ArgNames({"docs", "incremental"})
     ->Unit(benchmark::kMillisecond);
 
@@ -89,26 +81,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
-  // Exactness sweep: per seed, the incremental and from-scratch loops must
-  // produce the identical final database. This runs on every invocation so
-  // reproduce.sh cannot record an E19 table for a divergent implementation.
-  for (uint64_t seed = 0; seed < 5; ++seed) {
-    const dart::bench::Scenario scenario = dart::bench::MakeMultiDocScenario(
-        seed, /*docs=*/4, /*years=*/2, /*errors_per_doc=*/2);
-    const dart::validation::SimulatedOperator op(&scenario.truth);
-    auto oracle = dart::validation::RunValidationSession(
-        scenario.acquired, scenario.constraints, op, SessionOptionsFor(false));
-    auto incremental = dart::validation::RunValidationSession(
-        scenario.acquired, scenario.constraints, op, SessionOptionsFor(true));
-    DART_CHECK_MSG(oracle.ok(), oracle.status().ToString());
-    DART_CHECK_MSG(incremental.ok(), incremental.status().ToString());
-    auto differences =
-        oracle->repaired.CountDifferences(incremental->repaired);
-    DART_CHECK_MSG(differences.ok(), differences.status().ToString());
-    DART_CHECK_MSG(*differences == 0,
-                   "E19 incremental/from-scratch final databases diverge");
-  }
-
   // E17 contract: every bench binary leaves a schema-valid OBS trace. One
   // instrumented incremental session is representative of the workload.
   {
@@ -116,7 +88,7 @@ int main(int argc, char** argv) {
         /*seed=*/19, /*docs=*/4, /*years=*/2, /*errors_per_doc=*/2);
     const dart::validation::SimulatedOperator op(&scenario.truth);
     dart::obs::RunContext run;
-    dart::validation::SessionOptions options = SessionOptionsFor(true);
+    dart::validation::SessionOptions options = SessionOptionsFor();
     options.run = &run;
     auto result = dart::validation::RunValidationSession(
         scenario.acquired, scenario.constraints, op, options);

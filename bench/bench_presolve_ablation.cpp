@@ -1,16 +1,14 @@
-// Experiment E12 (EXPERIMENTS.md): presolve ablation. Operator value pins
-// (Sec. 6.3) become singleton rows that presolve chases through the
-// y-definition and big-M rows, eliminating whole z/y/δ triples before the
-// simplex runs. This bench measures repair time with and without presolve
-// as the number of pinned cells grows — the exact workload of a validation
-// session in its later iterations.
+// Experiment E12 (EXPERIMENTS.md): pinned-repair cost. Operator value pins
+// (Sec. 6.3) enter the repair core as bound changes z ∈ [v, v] on their
+// component (repair/incremental.h); the engine formerly added them as
+// singleton rows and presolved them away, which this bench used to ablate.
+// It now measures one-shot repair time as the number of pinned cells grows
+// — the workload of a validation session in its later iterations.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "milp/presolve.h"
 #include "repair/engine.h"
-#include "repair/translator.h"
 
 namespace {
 
@@ -31,75 +29,33 @@ std::vector<dart::repair::FixedValue> MakePins(const Scenario& scenario,
   return pins;
 }
 
-void RunPinned(benchmark::State& state, bool presolve) {
+void BM_PinnedRepair(benchmark::State& state) {
   const size_t pins_count = static_cast<size_t>(state.range(0));
   Scenario scenario = MakeBudgetScenario(/*seed=*/77, /*years=*/6,
                                          /*num_errors=*/3);
   const auto pins = MakePins(scenario, pins_count);
-  dart::repair::RepairEngineOptions options;
-  options.milp.decomposition.use_presolve = presolve;
-  dart::repair::RepairEngine engine(options);
+  const dart::repair::RepairEngineOptions options;
+  const dart::repair::RepairEngine engine(options);
+  size_t cardinality = 0;
   for (auto _ : state) {
     auto outcome =
         engine.ComputeRepair(scenario.acquired, scenario.constraints, pins);
     DART_CHECK_MSG(outcome.ok(), outcome.status().ToString());
-    benchmark::DoNotOptimize(outcome->repair.cardinality());
+    cardinality = outcome->repair.cardinality();
+    benchmark::DoNotOptimize(cardinality);
   }
+  state.counters["repair_card"] = static_cast<double>(cardinality);
   state.counters["lp_iters"] = static_cast<double>(
       dart::bench::CollectRepairCounters(scenario, options, pins)
           .lp_iterations);
 }
 
-void BM_PinnedRepair_Presolve(benchmark::State& state) {
-  RunPinned(state, true);
-}
-void BM_PinnedRepair_NoPresolve(benchmark::State& state) {
-  RunPinned(state, false);
-}
-
-BENCHMARK(BM_PinnedRepair_Presolve)
+BENCHMARK(BM_PinnedRepair)
     ->Arg(0)
     ->Arg(10)
     ->Arg(30)
     ->Arg(50)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PinnedRepair_NoPresolve)
-    ->Arg(0)
-    ->Arg(10)
-    ->Arg(30)
-    ->Arg(50)
-    ->Unit(benchmark::kMillisecond);
-
-// Structural effect: how much of the S*(AC) model presolve removes.
-void BM_PresolveReduction(benchmark::State& state) {
-  const size_t pins_count = static_cast<size_t>(state.range(0));
-  Scenario scenario = MakeBudgetScenario(/*seed=*/78, /*years=*/6,
-                                         /*num_errors=*/3);
-  const auto pins = MakePins(scenario, pins_count);
-  auto translation = dart::repair::TranslateToMilp(
-      scenario.acquired, scenario.constraints, {}, pins);
-  DART_CHECK_MSG(translation.ok(), translation.status().ToString());
-  int eliminated = 0, rows_removed = 0;
-  for (auto _ : state) {
-    dart::milp::PresolveResult presolved =
-        dart::milp::Presolve(translation->model);
-    DART_CHECK(!presolved.infeasible);
-    benchmark::DoNotOptimize(presolved.reduced.num_variables());
-    eliminated = presolved.variables_eliminated;
-    rows_removed = presolved.rows_removed;
-  }
-  state.counters["vars_total"] =
-      static_cast<double>(translation->model.num_variables());
-  state.counters["vars_eliminated"] = static_cast<double>(eliminated);
-  state.counters["rows_removed"] = static_cast<double>(rows_removed);
-}
-
-BENCHMARK(BM_PresolveReduction)
-    ->Arg(0)
-    ->Arg(10)
-    ->Arg(30)
-    ->Arg(50)
-    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -11,8 +11,8 @@
 //     multi-document model (the E16 fixture), 4 threads, kernel x docs.
 //     Objectives are asserted identical across kernels; the acceptance bar
 //     is sparse ≥ 3x faster at 6 documents.
-//   BM_EngineKernel — the full repair engine (presolve + decomposition on,
-//     their defaults) under a kernel x years sweep of single-document cash
+//   BM_EngineKernel — the full repair engine (decomposition on, its
+//     default) under a kernel x years sweep of single-document cash
 //     budgets; shows the kernel delta that survives the model-shrinking
 //     stages. Counters surface the constraint-matrix sparsity
 //     (RepairStats::matrix_*) that motivates the revised kernel.
@@ -94,7 +94,7 @@ void BM_MilpMonolithicKernel(benchmark::State& state) {
   state.counters["matrix_density"] = translation->matrix_density;
 }
 
-// Full repair engine (default presolve + decomposition), kernel x years.
+// Full repair engine (default decomposition), kernel x years.
 void BM_EngineKernel(benchmark::State& state) {
   const dart::milp::LpKernel kernel = KernelArg(state.range(0));
   const int years = static_cast<int>(state.range(1));

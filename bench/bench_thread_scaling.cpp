@@ -5,7 +5,7 @@
 // components run at once, so B&B nodes and the repair are identical at every
 // thread count and only the wall time may move. Counters: per-run B&B nodes,
 // the wall time spent inside the MILP search itself (excluding
-// translation/presolve), and the repair cardinality.
+// translation/decomposition), and the repair cardinality.
 
 #include <benchmark/benchmark.h>
 

@@ -66,23 +66,19 @@ struct SearchOptions {
 };
 
 /// Knobs of the model-shrinking stages that run before the search
-/// (MilpOptions::decomposition). Consumed by the repair engine's solve
-/// dispatch (repair/engine.cpp) — SolveMilp itself never decomposes; callers
-/// go through SolveMilpDecomposed / SolveMilpWithPresolve (decompose.h,
-/// presolve.h) which these flags select between.
+/// (MilpOptions::decomposition). Read by the repair core
+/// (repair/incremental.h) — SolveMilp itself never decomposes.
 struct DecompositionOptions {
-  /// Run MILP presolve before branch-and-bound. Operator value pins are
-  /// singleton rows that presolve chases through the y-definition and big-M
-  /// rows, shrinking heavily-validated instances dramatically.
+  /// Not read by the repair core, which takes operator pins as bound
+  /// changes rather than rows to presolve away. Kept only because
+  /// perfbench's decompose replay (perfbench/stages.cpp) still selects
+  /// milp::Presolve with it.
   bool use_presolve = true;
-  /// Split the (presolved) model into connected components of the
-  /// variable–constraint incidence graph and solve them concurrently, one
-  /// serial search per component (decompose.h). Cells from different
-  /// acquired documents never share a ground row, and presolve-chased pins cut
-  /// chains, so validation-loop instances are usually block-structured. Also
-  /// enables per-component big-M retries in the repair engine: components
-  /// accepted as optimal and unsaturated are pinned on a retry instead of
-  /// being re-solved.
+  /// Split the model into connected components of the variable–constraint
+  /// incidence graph and solve them concurrently, one serial search per
+  /// component (decompose.h). Cells from different acquired documents never
+  /// share a ground row, so repair instances are block-structured; big-M
+  /// grows per component. Off = one component holding every variable.
   bool use_components = true;
 };
 
@@ -90,7 +86,7 @@ struct MilpOptions {
   LpOptions lp;
   /// Search knobs (threads, warm starts, node limit, branching).
   SearchOptions search;
-  /// Pre-search model shrinking (presolve, connected components).
+  /// Pre-search model shrinking (connected components).
   DecompositionOptions decomposition;
   /// Integrality tolerance.
   double int_tol = 1e-6;
@@ -142,14 +138,10 @@ struct MilpResult {
   /// construction).
   double wall_seconds = 0;
   /// Connected components the model split into (1 unless the solve went
-  /// through SolveMilpDecomposed / SolveDecomposition, see decompose.h).
+  /// through SolveMilpDecomposed, see decompose.h).
   int num_components = 1;
   /// Variable count of the largest component (0 when not decomposed).
   int largest_component_vars = 0;
-  /// Presolve reductions (0 unless the solve went through
-  /// SolveMilpWithPresolve, see presolve.h).
-  int presolve_variables_eliminated = 0;
-  int presolve_rows_removed = 0;
   /// Optimal basis of the root LP relaxation, captured when warm starts are
   /// on and the root LP solved to optimality (null otherwise). Feeding it
   /// back through SearchOptions::root_basis / BatchModel::root_basis lets a

@@ -188,6 +188,12 @@ Decomposition DecomposeModel(const Model& model) {
   return out;
 }
 
+namespace {
+
+/// The decomposition's components as a SolveMilpBatch input, in
+/// decomposition order, with `initial_point` (when sized to the input model)
+/// split per component into warm-start seeds. The BatchModels point into
+/// `decomposition`.
 std::vector<BatchModel> ComponentBatch(
     const Decomposition& decomposition,
     const std::vector<double>& initial_point) {
@@ -207,6 +213,8 @@ std::vector<BatchModel> ComponentBatch(
   }
   return batch;
 }
+
+}  // namespace
 
 MilpResult StitchDecomposition(const Decomposition& decomposition,
                                const Model& model,
@@ -286,11 +294,9 @@ MilpResult StitchDecomposition(const Decomposition& decomposition,
   return result;
 }
 
-MilpResult SolveDecomposition(const Decomposition& decomposition,
-                              const Model& model, const MilpOptions& options,
-                              std::vector<MilpResult>* component_results) {
+MilpResult SolveMilpDecomposed(const Model& model, const MilpOptions& options) {
+  const Decomposition decomposition = DecomposeModel(model);
   const auto t_begin = std::chrono::steady_clock::now();
-  if (component_results) component_results->clear();
   const int n = model.num_variables();
 
   // Single component covering every variable: the sub-model would be a
@@ -303,7 +309,6 @@ MilpResult SolveDecomposition(const Decomposition& decomposition,
     result.largest_component_vars = n;
     obs::SetGauge(options.run, "milp.components", 1);
     obs::SetGauge(options.run, "milp.largest_component_vars", n);
-    if (component_results) component_results->push_back(result);
     return result;
   }
 
@@ -328,13 +333,7 @@ MilpResult SolveDecomposition(const Decomposition& decomposition,
   result.wall_seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t_begin)
                             .count();
-  if (component_results) *component_results = std::move(solved);
   return result;
-}
-
-MilpResult SolveMilpDecomposed(const Model& model, const MilpOptions& options) {
-  const Decomposition decomposition = DecomposeModel(model);
-  return SolveDecomposition(decomposition, model, options);
 }
 
 }  // namespace dart::milp

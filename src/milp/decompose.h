@@ -9,11 +9,10 @@
 /// Constraint-graph decomposition of a MILP into independent subproblems.
 ///
 /// DART's repair model S*(AC) is naturally block-structured: cells acquired
-/// from different documents never share a ground constraint, and every
-/// operator pin that presolve chases through the y-definition and big-M rows
-/// deletes a vertex from the variable–constraint incidence graph, often
-/// splitting what remains. Because the objective Σ wᵢδᵢ is separable and no
-/// row spans two connected components, the MILP decomposes exactly:
+/// from different documents never share a ground constraint, and the
+/// balance rows of a cash budget couple only the cells of one year. Because
+/// the objective Σ wᵢδᵢ is separable and no row spans two connected
+/// components, the MILP decomposes exactly:
 ///
 ///   min over the whole model  =  Σ over components (min over the component)
 ///
@@ -82,37 +81,26 @@ struct Decomposition {
 /// Builds the variable–constraint incidence decomposition of `model`.
 Decomposition DecomposeModel(const Model& model);
 
-/// Materializes the decomposition's components as a SolveMilpBatch input, in
-/// decomposition (largest-first) order. `initial_point`, when sized to the
-/// input model's variable space, is split per component into the batch
-/// entries' warm-start seeds; pass {} for cold starts. The returned
-/// BatchModels point into `decomposition` — it must outlive them.
-///
-/// Factored out of SolveDecomposition so a *multi-document* caller
-/// (repair/batch.h) can pool the components of several decompositions into
-/// one fused SolveMilpBatch call.
-std::vector<BatchModel> ComponentBatch(const Decomposition& decomposition,
-                                       const std::vector<double>& initial_point);
-
 /// Pure stitch of per-component results (in decomposition order, points in
 /// component-local space) back into one MilpResult in the input variable
 /// space: status precedence, objective/bound sums, rowless + component point
 /// assembly, num_components / largest_component_vars. A decomposition with a
 /// violated constant row short-circuits to kLpRelaxationInfeasible (`solved`
 /// may then be empty). No gauges are published and wall_seconds is left 0 —
-/// SolveDecomposition (and the batch repair path) layer those on top.
+/// SolveMilpDecomposed (and the repair core, repair/incremental.h) layer
+/// those on top.
 MilpResult StitchDecomposition(const Decomposition& decomposition,
                                const Model& model,
                                const std::vector<MilpResult>& solved);
 
-/// Solves a decomposition of `model` (as returned by DecomposeModel on that
-/// same model): solves the components with SolveMilpBatch (one serial search
-/// each, up to num_threads at once), then stitches the per-component optima
-/// back into one MilpResult in the input variable space — objective = Σ
-/// component optima + rowless contribution + objective constant;
-/// `num_components` / `largest_component_vars` filled in. Search counters
-/// are not stitched: each component solve publishes its own milp.* registry
-/// counters.
+/// DecomposeModel + solve: the components go through SolveMilpBatch (one
+/// serial search each, up to num_threads at once), and their optima are
+/// stitched back into one MilpResult in the input variable space —
+/// objective = Σ component optima + rowless contribution + objective
+/// constant; `num_components` / `largest_component_vars` filled in. Search
+/// counters are not stitched: each component solve publishes its own milp.*
+/// registry counters. `options.initial_point`, when sized to the model, is
+/// split per component into warm-start seeds.
 ///
 /// Status combination mirrors what a monolithic solve would report: any
 /// component unbounded → kUnbounded; any component (or constant row) with an
@@ -123,16 +111,6 @@ MilpResult StitchDecomposition(const Decomposition& decomposition,
 /// A decomposition with exactly one component covering every variable is
 /// passed through to SolveMilp on `model` directly (no rebuilt-model
 /// overhead, identical search to the monolithic solver).
-///
-/// `component_results`, when non-null, receives the raw per-component
-/// results (in decomposition order, points in component-local variable
-/// space) — the repair engine uses them for per-component big-M retries.
-MilpResult SolveDecomposition(const Decomposition& decomposition,
-                              const Model& model, const MilpOptions& options,
-                              std::vector<MilpResult>* component_results =
-                                  nullptr);
-
-/// Convenience: DecomposeModel + SolveDecomposition.
 MilpResult SolveMilpDecomposed(const Model& model,
                                const MilpOptions& options = {});
 

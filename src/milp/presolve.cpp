@@ -205,8 +205,6 @@ MilpResult SolveMilpWithPresolve(const Model& model,
   if (presolved.infeasible) {
     MilpResult result;
     result.status = MilpResult::SolveStatus::kInfeasible;
-    result.presolve_variables_eliminated = presolved.variables_eliminated;
-    result.presolve_rows_removed = presolved.rows_removed;
     return result;
   }
   MilpOptions reduced_options = milp_options;
@@ -224,8 +222,6 @@ MilpResult SolveMilpWithPresolve(const Model& model,
   if (reduced.has_incumbent) {
     reduced.point = presolved.RestorePoint(reduced.point);
   }
-  reduced.presolve_variables_eliminated = presolved.variables_eliminated;
-  reduced.presolve_rows_removed = presolved.rows_removed;
   return reduced;
 }
 

@@ -9,12 +9,11 @@
 /// Lightweight MILP presolve: repeated fixed-variable elimination and
 /// singleton-row bound tightening until fixpoint.
 ///
-/// This is tailored to DART's repair models: operator value pins are
-/// singleton equality rows (z = v), which presolve turns into fixed
-/// variables; the y-definition rows then fix y, the big-M rows fix δ, and a
-/// heavily-pinned validation-loop instance shrinks to its genuinely free
-/// core before the simplex ever runs. bench_presolve_ablation quantifies
-/// the effect.
+/// The repair core does not presolve: operator pins enter its component
+/// models as bound changes (repair/incremental.h), not as singleton rows to
+/// chase. Only perfbench's decompose replay (perfbench/stages.cpp) and the
+/// presolve/warm-start tests use this module; it goes once that benchmark
+/// replays the core's own decomposition instead.
 
 namespace dart::milp {
 
@@ -52,7 +51,6 @@ struct PresolveResult {
 PresolveResult Presolve(const Model& model, const PresolveOptions& options = {});
 
 /// Convenience: presolve, solve the reduced model, lift the solution.
-/// Statistics (nodes, iterations) are those of the reduced solve.
 MilpResult SolveMilpWithPresolve(const Model& model,
                                  const MilpOptions& milp_options = {},
                                  const PresolveOptions& presolve_options = {});

@@ -1,13 +1,10 @@
 #pragma once
 
-#include <cstdint>
-#include <set>
 #include <vector>
 
 #include "constraints/ast.h"
+#include "constraints/ground.h"
 #include "milp/branch_and_bound.h"
-#include "milp/decompose.h"
-#include "milp/presolve.h"
 #include "repair/repair.h"
 #include "repair/translator.h"
 #include "util/status.h"
@@ -16,24 +13,28 @@
 /// The repairing module (paper Sec. 6.3): computes a card-minimal repair for
 /// a database w.r.t. a set of steady aggregate constraints by building
 /// S*(AC) and solving it, with adaptive big-M enlargement and post-solve
-/// verification.
+/// verification. RepairEngine is the one-shot entry point; the work itself
+/// is the component session's round loop (repair/incremental.h), which
+/// ComputeRepairBatch and the validation loop run as well.
 
 namespace dart::repair {
 
 struct RepairEngineOptions {
   TranslatorOptions translator;
-  /// Solver configuration. The presolve/decomposition stages that the engine
-  /// dispatches between live in milp.decomposition (DecompositionOptions) —
-  /// they used to be loose `use_presolve` / `use_decomposition` bools here.
+  /// Solver configuration. milp.decomposition.use_components selects the
+  /// constraint-graph split (off = one component holding every variable);
+  /// milp.decomposition.use_presolve is not read by the repair core.
   milp::MilpOptions milp;
-  /// How many times the engine may enlarge M (×100 each time) when the model
-  /// is infeasible or the optimum presses against the M box — both are
-  /// symptoms of a too-small practical M.
+  /// How many times one component's M may grow (×100 each time, in place)
+  /// when the component is infeasible or its optimum presses against the M
+  /// box — both are symptoms of a too-small practical M.
   int max_bigm_retries = 3;
-  /// Re-check ρ(D) ⊨ AC after solving (cheap; catches solver bugs).
+  /// Re-check ρ(D) ⊨ AC after solving against the ground program rows
+  /// (cheap; catches solver bugs).
   bool verify_result = true;
-  /// Use the exhaustive binary-enumeration baseline instead of
-  /// branch-and-bound (tests / solver ablation only; exponential!).
+  /// Solve each component by the exhaustive binary-enumeration baseline
+  /// instead of branch-and-bound (tests / solver ablation only; exponential
+  /// in the component's binaries, which must not exceed 22).
   bool use_exhaustive_solver = false;
   /// Observability sink for the whole computation (nullptr = no-op).
   /// Propagated into milp.run for the solves. Search counters (milp.nodes,
@@ -61,17 +62,14 @@ struct RepairStats {
   int bigm_retries = 0;
   double translate_seconds = 0;
   double solve_seconds = 0;
-  /// Wall-clock seconds inside the MILP search itself (excludes translation
-  /// and presolve; accumulated over big-M retries).
+  /// Wall-clock seconds inside the MILP searches themselves (excludes
+  /// translation and decomposition; accumulated over big-M rounds).
   double milp_wall_seconds = 0;
-  /// Shape of the *final* solve attempt (not summed across big-M retries):
-  /// connected components the model split into (1 when decomposition is off
-  /// or the model is connected) and the variable count of the largest one.
+  /// Shape of the decomposition: connected components the model split into
+  /// (1 when decomposition is off or the model is connected) and the
+  /// variable count of the largest one.
   int num_components = 1;
   int largest_component_vars = 0;
-  /// Presolve reductions of the final solve attempt (0 when presolve off).
-  int presolve_variables_eliminated = 0;
-  int presolve_rows_removed = 0;
 };
 
 struct RepairOutcome {
@@ -89,10 +87,14 @@ class RepairEngine {
       : options_(std::move(options)) {}
 
   /// Computes a card-minimal repair of `db` w.r.t. `constraints`, honoring
-  /// the operator's value pins. Returns:
+  /// the operator's value pins. A one-shot component session
+  /// (repair/incremental.h): translate and decompose once, pins as bounds,
+  /// one batch solve, big-M grown in place per component. Returns:
   ///   - an empty repair when the database is already consistent;
   ///   - Status::Infeasible when no repair exists (e.g. a violated ground
-  ///     constraint contains no measure value, or the pins contradict AC).
+  ///     constraint contains no measure value, or the pins contradict AC);
+  ///   - Status::InvalidArgument for a NaN or infinite pin, or a pin on a
+  ///     cell outside the translation.
   ///
   /// `warm_start`, when given, seeds the branch-and-bound incumbent with
   /// that repair's assignment (useful across validation-loop iterations; it
@@ -100,10 +102,9 @@ class RepairEngine {
   ///
   /// `ground`, when given, must be `GroundConstraintProgram(db, constraints)`
   /// for this same database — the engine then grounds nothing itself: the
-  /// consistency fast path, every translation attempt, and the final
-  /// verification all reuse it (valid across repairs by steadiness). When
-  /// null the engine grounds once per call, which is still one grounding
-  /// for the whole big-M retry loop (counter `repair.groundings`).
+  /// consistency fast path, the translation and the final verification all
+  /// reuse it (valid across repairs by steadiness). When null the engine
+  /// grounds once per call (counter `repair.groundings`).
   Result<RepairOutcome> ComputeRepair(
       const rel::Database& db, const cons::ConstraintSet& constraints,
       const std::vector<FixedValue>& fixed_values = {},
@@ -115,92 +116,5 @@ class RepairEngine {
  private:
   RepairEngineOptions options_;
 };
-
-/// Sorts updates for display per the Validation Interface heuristic
-/// (Sec. 6.3): updates whose cell occurs in more ground constraints first;
-/// ties broken by cell order for determinism.
-void OrderUpdatesForDisplay(const Translation& translation, Repair* repair);
-
-namespace internal {
-
-/// Extracts the repair encoded by a MILP solution: every zᵢ whose value
-/// differs from vᵢ (beyond a relative 1e-6 tolerance) becomes an atomic
-/// update; integer-domain values snap to the nearest integer, continuous
-/// ones to a 6-decimal grid. Shared by the from-scratch engine and the
-/// incremental session so both render solutions identically.
-Result<Repair> ExtractRepair(const rel::Database& db,
-                             const Translation& translation,
-                             const std::vector<double>& point);
-
-/// Snaps a solved z value the same way ExtractRepair renders it into the
-/// database, so a pin of an accepted value reproduces the repair exactly.
-double SnapCellValue(const rel::Database& db, const rel::CellRef& cell,
-                     double z);
-
-/// Presolve + decomposition bookkeeping of one solve attempt, kept around so
-/// the big-M retry can tell accepted components from saturated ones. Shared
-/// by the per-document engine loop and the fused batch path (batch.h).
-struct AttemptContext {
-  milp::PresolveResult presolved;
-  bool used_presolve = false;
-  milp::Decomposition decomposition;
-  std::vector<milp::MilpResult> component_results;
-  bool decomposed = false;
-};
-
-/// The engine's verdict on one solve attempt: whether M must grow, and if
-/// so which components carry the blame ("dirty": infeasible, or an optimal
-/// |y| pressing against its Mᵢ box) versus which were accepted and may be
-/// pinned on the retry.
-struct RetryDecision {
-  bool grow_m_and_retry = false;
-  /// Grow verdict is component-local (nothing outside components is dirty):
-  /// the accepted components' values can be pinned so only dirty blocks
-  /// re-solve.
-  bool pin_clean_components = false;
-  std::vector<char> component_dirty;  ///< per decomposition component.
-};
-
-/// Inspects a solve attempt for big-M symptoms. Infeasibility may be a
-/// too-tight z box rather than true non-existence, and an optimal y at
-/// 0.999·Mᵢ suggests the unboxed optimum lies outside; kNodeLimit and
-/// kUnbounded are never big-M symptoms and suppress the retry.
-RetryDecision DecideBigMRetry(const Translation& translation,
-                              const AttemptContext& ctx,
-                              const milp::MilpResult& solved);
-
-/// Pins every not-yet-pinned cell of the clean (accepted) components to its
-/// solved value, snapped as ExtractRepair would render it. Appends to
-/// `retry_pins` / `pinned_cells`.
-void AppendCleanComponentPins(const rel::Database& db,
-                              const Translation& translation,
-                              const AttemptContext& ctx,
-                              const std::vector<char>& component_dirty,
-                              std::set<rel::CellRef>* pinned_cells,
-                              std::vector<FixedValue>* retry_pins);
-
-/// Copies one attempt's instance-shape numbers and timings into `stats` and
-/// the matching repair.* gauges/histograms (translate/solve seconds
-/// accumulate across attempts; shape fields reflect the latest attempt).
-void RecordAttemptStats(const Translation& translation,
-                        const milp::MilpResult& solved,
-                        double translate_seconds, double solve_seconds,
-                        int attempt, RepairStats* stats,
-                        obs::RunContext* run);
-
-/// Turns a final (no-retry) solve attempt into the engine's result: maps
-/// non-optimal statuses to the engine's error contract, extracts the
-/// repair, enforces the card-minimality invariant when `weights_empty`,
-/// verifies ρ(D) ⊨ AC against the ground program when `verify_result`, and
-/// orders the updates for display.
-Result<Repair> FinalizeAttempt(const rel::Database& db,
-                               const cons::GroundProgram& ground,
-                               const Translation& translation,
-                               const milp::MilpResult& solved,
-                               bool weights_empty, bool verify_result,
-                               const std::vector<FixedValue>& fixed_values,
-                               obs::RunContext* run);
-
-}  // namespace internal
 
 }  // namespace dart::repair

@@ -42,17 +42,15 @@ int Translation::CellIndex(const rel::CellRef& cell) const {
 
 Result<Translation> TranslateToMilp(const rel::Database& db,
                                     const cons::ConstraintSet& constraints,
-                                    const TranslatorOptions& options,
-                                    const std::vector<FixedValue>& fixed_values) {
+                                    const TranslatorOptions& options) {
   DART_ASSIGN_OR_RETURN(cons::GroundProgram program,
                         cons::GroundConstraintProgram(db, constraints));
-  return TranslateGrounded(db, program, options, fixed_values);
+  return TranslateGrounded(db, program, options);
 }
 
 Result<Translation> TranslateGrounded(const rel::Database& db,
                                       const cons::GroundProgram& program,
-                                      const TranslatorOptions& options,
-                                      const std::vector<FixedValue>& fixed_values) {
+                                      const TranslatorOptions& options) {
   // ---------------------------------------------------------------------
   // Step 1 — S(AC): one linear row per ground constraint instance. The
   // grounding itself (substitution enumeration, steady-attribute folding)
@@ -88,7 +86,6 @@ Result<Translation> TranslateGrounded(const rel::Database& db,
   for (const PendingRow& row : pending) {
     for (const auto& [cell, coeff] : row.coefficients) involved.insert(cell);
   }
-  for (const FixedValue& fixed : fixed_values) involved.insert(fixed.cell);
 
   std::vector<rel::CellRef> cells;
   if (options.restrict_to_involved) {
@@ -96,14 +93,6 @@ Result<Translation> TranslateGrounded(const rel::Database& db,
     // Keep database order (relation, row, attribute) — set order already is.
   } else {
     cells = db.MeasureCells();
-    // Fixed values must reference existing measure cells.
-    std::set<rel::CellRef> all(cells.begin(), cells.end());
-    for (const FixedValue& fixed : fixed_values) {
-      if (all.count(fixed.cell) == 0) {
-        return Status::InvalidArgument("fixed value targets non-measure cell " +
-                                       fixed.cell.ToString());
-      }
-    }
   }
 
   Translation out;
@@ -155,16 +144,13 @@ Result<Translation> TranslateGrounded(const rel::Database& db,
   for (const PendingRow& row : pending) {
     max_abs_rhs = std::max(max_abs_rhs, std::fabs(row.rhs));
   }
-  for (const FixedValue& fixed : fixed_values) {
-    max_abs_value = std::max(max_abs_value, std::fabs(fixed.value));
-  }
   double practical_m =
       options.big_m.fixed_value > 0
           ? options.big_m.fixed_value
           : options.big_m.multiplier * (1.0 + max_abs_value + max_abs_rhs);
-  // The z box must at least contain every current value vᵢ (and every
-  // operator pin), or the model could not even represent "change nothing";
-  // clamp a user-fixed M up to that floor.
+  // The z box must at least contain every current value vᵢ, or the model
+  // could not even represent "change nothing"; clamp a user-fixed M up to
+  // that floor.
   practical_m = std::max(practical_m, 1.0 + max_abs_value);
   out.practical_m = practical_m;
   {
@@ -270,23 +256,6 @@ Result<Translation> TranslateGrounded(const rel::Database& db,
       }
       out.cell_component[i] = component_of_root[static_cast<size_t>(root)];
     }
-  }
-
-  // Operator value pins (Sec. 6.3): zᵢ = v.
-  for (const FixedValue& fixed : fixed_values) {
-    auto it = cell_index.find(fixed.cell);
-    if (it == cell_index.end()) {
-      return Status::InvalidArgument("fixed value targets unknown cell " +
-                                     fixed.cell.ToString());
-    }
-    if (std::fabs(fixed.value) > practical_m) {
-      return Status::InvalidArgument(
-          "fixed value " + FormatDouble(fixed.value) + " for cell " +
-          fixed.cell.ToString() + " exceeds the z box — raise big-M");
-    }
-    model.AddRow("pin_z" + std::to_string(it->second + 1),
-                 {{out.z_vars[it->second], 1.0}}, milp::RowSense::kEq,
-                 fixed.value);
   }
 
   // Objective: min Σ wᵢ·δᵢ (wᵢ = 1 everywhere in the paper's card-minimal

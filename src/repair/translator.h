@@ -31,8 +31,9 @@ namespace dart::repair {
 /// How the big-M constant is chosen. The theoretical bound of [22]
 /// (n·(ma)^(2m+1)) astronomically overflows doubles for any real instance, so
 /// DART solves with a practical data-driven M and *verifies* afterwards that
-/// no |yᵢ| touched its Mᵢ (RepairEngine then enlarges M and re-solves if one
-/// did). bench_bigm_ablation quantifies the effect of the magnitude of M.
+/// no |yᵢ| touched its Mᵢ (the repair core then enlarges that component's M
+/// in place and re-solves it if one did). bench_bigm_ablation quantifies
+/// the effect of the magnitude of M.
 struct BigMPolicy {
   /// M = multiplier · (max(|vᵢ|, |K_j|, coefficient magnitudes, 1)).
   double multiplier = 4.0;
@@ -66,7 +67,11 @@ struct TranslatorOptions {
 };
 
 /// Operator-supplied value pin: "the actual source value of this cell is v"
-/// (paper Sec. 6.3, Validation Interface). Translated as the row z = v.
+/// (paper Sec. 6.3, Validation Interface). The translation never sees pins:
+/// the repair core applies each as the bound change z ∈ [v, v] on the
+/// pinned cell's component (repair/incremental.h). The cell must be one of
+/// the translation's cells (under restrict_to_involved, a cell of some
+/// ground row) and v must be finite.
 struct FixedValue {
   rel::CellRef cell;
   double value = 0;
@@ -91,9 +96,7 @@ struct Translation {
   /// Connected component of each cell in the cell–ground-row incidence
   /// graph (cells from different acquired documents never share a ground
   /// row, so this is a document-structure fingerprint of the instance).
-  /// Cells outside every ground row form singleton components. This is the
-  /// pre-pin, pre-presolve view; the solver recomputes components on the
-  /// presolved model, where pins usually split these further.
+  /// Cells outside every ground row form singleton components.
   std::vector<int> cell_component;
   int num_cell_components = 0;
 
@@ -126,22 +129,19 @@ struct Translation {
 /// Fails with InvalidArgument if any constraint is not steady, and with
 /// Infeasible if a ground constraint involves no measure cell and is
 /// violated (no update can ever fix a constant row).
-Result<Translation> TranslateToMilp(
-    const rel::Database& db, const cons::ConstraintSet& constraints,
-    const TranslatorOptions& options = {},
-    const std::vector<FixedValue>& fixed_values = {});
+Result<Translation> TranslateToMilp(const rel::Database& db,
+                                    const cons::ConstraintSet& constraints,
+                                    const TranslatorOptions& options = {});
 
-/// Builds S*(AC) from an already-ground program — grounding once per
-/// database and translating per big-M attempt (the repair engine's retry
-/// loop grows M without re-grounding; the batch path shares one grounding
-/// between violation detection and translation). `program` must have been
-/// produced by `GroundConstraintProgram(db, ...)` for this same `db`.
+/// Builds S*(AC) from an already-ground program, so one grounding serves
+/// violation detection, translation and verification (the batch path
+/// shares the pipeline's grounding). `program` must have been produced by
+/// `GroundConstraintProgram(db, ...)` for this same `db`.
 ///
 /// Same failure modes as TranslateToMilp minus the grounding ones: still
 /// Infeasible on a violated constant ground row.
-Result<Translation> TranslateGrounded(
-    const rel::Database& db, const cons::GroundProgram& program,
-    const TranslatorOptions& options = {},
-    const std::vector<FixedValue>& fixed_values = {});
+Result<Translation> TranslateGrounded(const rel::Database& db,
+                                      const cons::GroundProgram& program,
+                                      const TranslatorOptions& options = {});
 
 }  // namespace dart::repair

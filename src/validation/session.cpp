@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <map>
-#include <optional>
 
 #include "repair/incremental.h"
 #include "validation/display.h"
@@ -84,19 +83,11 @@ Result<SessionResult> RunValidationSession(
   obs::Span session_span(run, "validation.session");
   repair::RepairEngineOptions engine_options = options.engine;
   if (engine_options.run == nullptr) engine_options.run = run;
-  repair::RepairEngine engine(engine_options);
-  // The incremental session persists the translation, the component
-  // decomposition and per-component optima/bases across iterations, so each
-  // re-solve costs only the components the newest pins touched. The
-  // exhaustive baseline has no incremental counterpart — it exists to
-  // cross-check the branch-and-bound solver, so it keeps the from-scratch
-  // path.
-  const bool use_incremental =
-      options.use_incremental && !engine_options.use_exhaustive_solver;
-  std::optional<repair::IncrementalRepairSession> incremental;
-  if (use_incremental) {
-    incremental.emplace(acquired, constraints, engine_options);
-  }
+  // The session persists the translation, the component decomposition and
+  // per-component optima/bases across iterations, so each re-solve costs
+  // only the components the newest pins touched.
+  repair::IncrementalRepairSession session(acquired, constraints,
+                                           engine_options);
   SessionResult result;
   const obs::MetricsSnapshot session_base = run->metrics().Snapshot();
   // SessionResult's aggregate solver effort is the registry delta over the
@@ -129,11 +120,8 @@ Result<SessionResult> RunValidationSession(
     }
     const repair::Repair* warm =
         iteration == 0 ? nullptr : &previous_repair;
-    DART_ASSIGN_OR_RETURN(
-        repair::RepairOutcome outcome,
-        use_incremental
-            ? incremental->ComputeRepair(pins, warm)
-            : engine.ComputeRepair(acquired, constraints, pins, warm));
+    DART_ASSIGN_OR_RETURN(repair::RepairOutcome outcome,
+                          session.ComputeRepair(pins, warm));
 
     if (outcome.already_consistent || outcome.repair.empty()) {
       rel::Database repaired = acquired.Clone();

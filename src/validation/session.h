@@ -27,17 +27,13 @@
 namespace dart::validation {
 
 struct SessionOptions {
+  /// Repairs are computed by one session-scoped IncrementalRepairSession
+  /// (repair/incremental.h): translate and decompose once, then re-solve
+  /// only the components whose pins changed, reusing every clean
+  /// component's cached optimum and warm-starting dirty ones from their
+  /// previous root basis. use_exhaustive_solver solves each dirty component
+  /// by binary enumeration instead.
   repair::RepairEngineOptions engine;
-  /// Compute repairs through a session-scoped IncrementalRepairSession
-  /// (repair/incremental.h): translate + decompose once, then re-solve only
-  /// the components whose pins changed, reusing every clean component's
-  /// cached optimum and warm-starting dirty ones from their previous root
-  /// basis. Exact — iteration results match the from-scratch engine (the
-  /// pinned models are the same mathematical programs) — so this is a pure
-  /// perf knob; off falls back to RepairEngine::ComputeRepair per iteration,
-  /// kept as the exactness oracle (tests/incremental_test.cpp asserts
-  /// parity). Ignored (from-scratch used) with use_exhaustive_solver.
-  bool use_incremental = true;
   /// Updates examined per iteration before re-computing; 0 = all of them.
   size_t examine_batch = 0;
   /// Safety valve on loop length.

@@ -531,24 +531,6 @@ TEST(DecomposeEngineTest, TranslatorReportsDocumentComponents) {
   }
 }
 
-TEST(DecomposeEngineTest, PinnedCellsShowUpInPresolveStats) {
-  // Pinning a repaired cell to its true value lets presolve eliminate its
-  // z/y/δ triple; the engine must report that through RepairStats.
-  const bench::Scenario scenario = bench::MakeMultiDocScenario(
-      /*seed=*/11, /*docs=*/2, /*years=*/2, /*errors_per_doc=*/1);
-  std::vector<FixedValue> pins;
-  pins.push_back(FixedValue{scenario.errors[0].cell,
-                            scenario.errors[0].true_value.AsReal()});
-
-  RepairEngine engine;
-  auto outcome =
-      engine.ComputeRepair(scenario.acquired, scenario.constraints, pins);
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_GE(outcome->stats.presolve_variables_eliminated, 3);
-  EXPECT_GE(outcome->stats.presolve_rows_removed, 1);
-  EXPECT_GE(outcome->stats.num_components, 2);
-}
-
 TEST(DecomposeEngineTest, NodeCountsAccumulateAcrossBigMRetries) {
   // A deliberately small fixed big-M (the translator only floors it at
   // 1 + max |v| = 2 here, so fixed_value = 50 sticks) makes the first

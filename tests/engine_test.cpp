@@ -150,7 +150,7 @@ TEST_F(RunningExampleEngineTest, DisplayOrderPutsMostConstrainedFirst) {
   ASSERT_GE(outcome->repair.cardinality(), 2u);
   // Sec. 6.3: updates are displayed most-constrained-cell first. Verify the
   // order is non-increasing in ground-row occurrence count.
-  auto translation = TranslateToMilp(db_, constraints_, {}, pins);
+  auto translation = TranslateToMilp(db_, constraints_);
   ASSERT_TRUE(translation.ok());
   int previous = 1 << 30;
   for (const AtomicUpdate& update : outcome->repair.updates()) {

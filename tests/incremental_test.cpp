@@ -1,13 +1,13 @@
-// Tests for the session-scoped incremental repair state
-// (repair/incremental.h): 30-seed parity of IncrementalRepairSession against
-// the from-scratch RepairEngine oracle over growing pin sequences, full
-// validation-session parity (rejection-heavy operators, multi-document
-// corpora, batch-limited examination), dirty/clean component accounting,
-// per-component big-M retries triggered by a pin on an already-initialized
-// session, pin removal, and the repair.incremental.* observability contract.
+// Tests for the session-scoped repair core (repair/incremental.h):
+// dirty/clean component accounting, per-component big-M retries triggered by
+// a pin on an already-initialized session, pin removal, bad and non-finite
+// pins, and the repair.incremental.* observability contract. The parity of
+// pinned sessions against recorded optima lives in repair_parity_test.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -21,107 +21,6 @@
 
 namespace dart::repair {
 namespace {
-
-// The incremental session must be indistinguishable from the from-scratch
-// engine on every iteration of a validation loop. This drives both through
-// the same growing pin sequence — iteration k pins the first k injected
-// errors to their true source values, exactly what operator rejections
-// produce — and asserts the optimum (repair cardinality = the unweighted
-// MILP objective, which is unique even when the argmin is not) matches step
-// for step. verify_result stays on, so every incremental repair is also
-// consistency-checked and pin-checked internally before it is compared.
-TEST(IncrementalParityTest, MatchesEngineOverPinSequencesAcrossSeeds) {
-  for (uint64_t seed = 0; seed < 30; ++seed) {
-    const bench::Scenario scenario = bench::MakeMultiDocScenario(
-        seed, /*docs=*/2, /*years=*/2, /*errors_per_doc=*/2);
-    RepairEngineOptions options;
-    // Odd seeds solve dirty components concurrently underneath the
-    // incremental session, exercising the BatchModel::root_basis plumbing
-    // across threads.
-    options.milp.search.num_threads = seed % 2 == 0 ? 1 : 2;
-    RepairEngine engine(options);
-    IncrementalRepairSession session(scenario.acquired, scenario.constraints,
-                                     options);
-
-    std::vector<FixedValue> pins;
-    for (size_t step = 0; step <= scenario.errors.size(); ++step) {
-      if (step > 0) {
-        const ocr::InjectedError& error = scenario.errors[step - 1];
-        pins.push_back(FixedValue{error.cell, error.true_value.AsReal()});
-      }
-      auto oracle =
-          engine.ComputeRepair(scenario.acquired, scenario.constraints, pins);
-      auto incremental = session.ComputeRepair(pins);
-      ASSERT_TRUE(oracle.ok())
-          << "seed=" << seed << " step=" << step << ": "
-          << oracle.status().ToString();
-      ASSERT_TRUE(incremental.ok())
-          << "seed=" << seed << " step=" << step << ": "
-          << incremental.status().ToString();
-      EXPECT_EQ(oracle->already_consistent, incremental->already_consistent)
-          << "seed=" << seed << " step=" << step;
-      EXPECT_EQ(oracle->repair.cardinality(), incremental->repair.cardinality())
-          << "seed=" << seed << " step=" << step;
-      // Both repairs must actually repair: identical consistency verdicts on
-      // the patched databases (both engines verified internally already, but
-      // check through the public surface too).
-      auto oracle_db = oracle->repair.Applied(scenario.acquired);
-      auto incremental_db = incremental->repair.Applied(scenario.acquired);
-      ASSERT_TRUE(oracle_db.ok() && incremental_db.ok());
-      cons::ConsistencyChecker checker(&scenario.constraints);
-      EXPECT_EQ(*checker.IsConsistent(*oracle_db),
-                *checker.IsConsistent(*incremental_db))
-          << "seed=" << seed << " step=" << step;
-    }
-    // With every injected error pinned to its true value the repair must
-    // restore consistency.
-    auto final_outcome = session.ComputeRepair(pins);
-    ASSERT_TRUE(final_outcome.ok());
-    auto repaired = final_outcome->repair.Applied(scenario.acquired);
-    ASSERT_TRUE(repaired.ok());
-    cons::ConsistencyChecker checker(&scenario.constraints);
-    EXPECT_TRUE(*checker.IsConsistent(*repaired)) << "seed=" << seed;
-  }
-}
-
-// Full-loop parity: the supervised session run with the incremental state
-// must land on the same final database as the from-scratch oracle loop.
-// A batch size of 1 maximizes iteration
-// count (every iteration re-solves), and three errors per document keep the
-// operator busy rejecting compensating fixes. Note equality to *truth* is not
-// guaranteed by either mode — a seed whose injected errors cancel inside
-// every constraint yields an already-consistent (but wrong) database that the
-// loop rightly never touches — so the invariant is mode parity plus
-// consistency, not truth recovery.
-TEST(IncrementalParityTest, ValidationSessionsMatchOracleAcrossSeeds) {
-  for (uint64_t seed = 100; seed < 115; ++seed) {
-    const bench::Scenario scenario = bench::MakeMultiDocScenario(
-        seed, /*docs=*/2, /*years=*/1, /*errors_per_doc=*/3);
-    validation::SimulatedOperator op(&scenario.truth);
-    validation::SessionResult results[2];
-    for (bool incremental : {false, true}) {
-      validation::SessionOptions options;
-      options.use_incremental = incremental;
-      options.examine_batch = 1;
-      auto result = validation::RunValidationSession(
-          scenario.acquired, scenario.constraints, op, options);
-      ASSERT_TRUE(result.ok()) << "seed=" << seed
-                               << " incremental=" << incremental << ": "
-                               << result.status().ToString();
-      EXPECT_TRUE(result->converged);
-      cons::ConsistencyChecker checker(&scenario.constraints);
-      EXPECT_TRUE(*checker.IsConsistent(result->repaired))
-          << "seed=" << seed << " incremental=" << incremental;
-      results[incremental ? 1 : 0] = std::move(*result);
-    }
-    // Trajectories may differ (tied optima: a cached component optimum and a
-    // fresh solve can pick different card-minimal repairs, steering the
-    // operator to different cells first) but both loops must land on the
-    // same validated database.
-    EXPECT_EQ(*results[0].repaired.CountDifferences(results[1].repaired), 0u)
-        << "seed=" << seed;
-  }
-}
 
 // A pin touches exactly one component: everything else must be served from
 // the cache, and the repair.incremental.* counters must say so.
@@ -179,7 +78,7 @@ TEST(IncrementalRepairSessionTest, PinDirtiesOnlyItsComponentAndCountsIt) {
 // already-initialized session: a pin that pushes a component's required
 // values outside its current (already once-grown) z box makes that component
 // infeasible, the session must enlarge only that component's M and re-solve,
-// and the result must match a from-scratch engine handed the same pins.
+// and the result must match a one-shot ComputeRepair handed the same pins.
 TEST(IncrementalRepairSessionTest, BigMRetryInsideDirtyComponent) {
   rel::Database db;
   {
@@ -259,12 +158,80 @@ TEST(IncrementalRepairSessionTest, RejectsBadPinSets) {
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
 }
 
-// Incremental is the default session mode, and the exhaustive baseline
-// falls back to the from-scratch path (it exists to cross-check the
-// branch-and-bound solver, so it must keep solving whole instances).
-TEST(IncrementalRepairSessionTest, SessionDefaultsToIncremental) {
-  validation::SessionOptions options;
-  EXPECT_TRUE(options.use_incremental);
+// The exhaustive binary-enumeration solver stays the reference for the
+// branch-and-bound search on pinned instances too: both solvers run as
+// persistent sessions through one operator loop (examine one update per
+// iteration, pin it to the accepted or actual source value) and must agree
+// on the card-minimal cardinality at every step. One-year budgets with one
+// receipt and one disbursement detail keep every component at a handful of
+// binaries.
+TEST(IncrementalRepairSessionTest, ExhaustiveAgreesOnEveryPinnedStep) {
+  for (uint64_t seed = 0; seed < 12; ++seed) {
+    const bench::Scenario scenario = bench::MakeBudgetScenario(
+        seed, /*years=*/1, /*num_errors=*/2, /*receipt_details=*/1,
+        /*disbursement_details=*/1);
+    RepairEngineOptions exhaustive_options;
+    exhaustive_options.use_exhaustive_solver = true;
+    IncrementalRepairSession search(scenario.acquired, scenario.constraints);
+    IncrementalRepairSession exhaustive(scenario.acquired,
+                                        scenario.constraints,
+                                        exhaustive_options);
+    const validation::SimulatedOperator op(&scenario.truth);
+    std::vector<FixedValue> pins;
+    for (int step = 0; step < 20; ++step) {
+      auto searched = search.ComputeRepair(pins);
+      auto enumerated = exhaustive.ComputeRepair(pins);
+      ASSERT_TRUE(searched.ok()) << searched.status().ToString();
+      ASSERT_TRUE(enumerated.ok()) << enumerated.status().ToString();
+      EXPECT_EQ(searched->repair.cardinality(),
+                enumerated->repair.cardinality())
+          << "seed=" << seed << " step=" << step;
+      // Examine the first update not pinned yet; stop once none is left.
+      const AtomicUpdate* next = nullptr;
+      for (const AtomicUpdate& update : searched->repair.updates()) {
+        const bool pinned =
+            std::any_of(pins.begin(), pins.end(), [&](const FixedValue& pin) {
+              return pin.cell == update.cell;
+            });
+        if (!pinned) {
+          next = &update;
+          break;
+        }
+      }
+      if (next == nullptr) break;
+      auto verdict = op.Examine(*next);
+      ASSERT_TRUE(verdict.ok());
+      pins.push_back(FixedValue{
+          next->cell, verdict->accepted ? next->new_value.AsReal()
+                                        : verdict->actual_value});
+    }
+  }
+}
+
+// A NaN or infinite pin is an InvalidArgument, never a crash, on the
+// one-shot engine, the session, and the pipeline's standalone Repair(); the
+// session survives it.
+TEST(IncrementalRepairSessionTest, NonFinitePinsAreInvalidArguments) {
+  const bench::Scenario scenario =
+      bench::MakeBudgetScenario(/*seed=*/3, /*years=*/1, /*num_errors=*/1);
+  const rel::CellRef cell = scenario.errors[0].cell;
+  IncrementalRepairSession session(scenario.acquired, scenario.constraints);
+  const RepairEngine engine;
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    const std::vector<FixedValue> pins{FixedValue{cell, bad}};
+    auto from_session = session.ComputeRepair(pins);
+    ASSERT_FALSE(from_session.ok()) << bad;
+    EXPECT_EQ(from_session.status().code(), StatusCode::kInvalidArgument);
+    auto from_engine =
+        engine.ComputeRepair(scenario.acquired, scenario.constraints, pins);
+    ASSERT_FALSE(from_engine.ok()) << bad;
+    EXPECT_EQ(from_engine.status().code(), StatusCode::kInvalidArgument);
+  }
+  auto ok = session.ComputeRepair(
+      {FixedValue{cell, scenario.errors[0].true_value.AsReal()}});
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
 }
 
 }  // namespace

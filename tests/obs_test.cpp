@@ -1,6 +1,7 @@
 // Tests for the dart::obs observability layer: the sharded metrics registry
 // under write contention, snapshot deltas, the span tree produced by a
-// decomposed batch solve across pool threads, the no-op null-context
+// decomposed batch solve across pool threads and of the repair core's round
+// loop (one-shot and batch), the no-op null-context
 // path, the JSON run report (round-tripped through a minimal in-test
 // parser), the engine's registry-published search counters, the bounded
 // trace ring under overflow (head + latency-biased tail sampling), and the
@@ -33,6 +34,7 @@
 #include "obs/sink.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
+#include "repair/batch.h"
 #include "repair/engine.h"
 
 namespace dart::obs {
@@ -518,7 +520,6 @@ TEST(TraceTest, DecomposedBatchSolveFormsWellNestedSpanTree) {
     milp::MilpOptions options;
     options.objective_is_integral = true;
     options.search.num_threads = threads;
-    options.decomposition.use_presolve = false;  // keep both components alive
     options.run = &run;
     const milp::Model model = TwoBlockModel();
     int64_t caller_id = 0;
@@ -570,7 +571,6 @@ TEST(TraceTest, SerialBatchNestsSearchUnderInstanceSpans) {
   milp::MilpOptions options;
   options.objective_is_integral = true;
   options.search.num_threads = 1;
-  options.decomposition.use_presolve = false;
   options.run = &run;
   const milp::Model model = TwoBlockModel();
   const milp::MilpResult result = milp::SolveMilpDecomposed(model, options);
@@ -593,6 +593,118 @@ TEST(TraceTest, SerialBatchNestsSearchUnderInstanceSpans) {
   }
   EXPECT_EQ(search_spans, 2);
   EXPECT_EQ(run.metrics().Snapshot().Counter("milp.solves"), 2);
+}
+
+// Span name → parent span name (root spans map to "") for every closed span,
+// after asserting the tree invariants: parents begin first and every parent
+// id resolves.
+std::multimap<std::string, std::string> ParentNames(const RunContext& run) {
+  const std::vector<SpanRecord> spans = run.trace().Snapshot();
+  std::map<int64_t, std::string> names;
+  for (const SpanRecord& span : spans) names[span.id] = span.name;
+  std::multimap<std::string, std::string> parents;
+  for (const SpanRecord& span : spans) {
+    EXPECT_LT(span.parent, span.id);
+    EXPECT_GE(span.duration_ns, 0) << span.name;
+    EXPECT_TRUE(span.parent == 0 || names.count(span.parent) == 1);
+    parents.emplace(span.name, span.parent == 0 ? "" : names[span.parent]);
+  }
+  return parents;
+}
+
+std::multiset<std::string> ParentsOf(
+    const std::multimap<std::string, std::string>& parents,
+    const std::string& name) {
+  std::multiset<std::string> out;
+  auto [begin, end] = parents.equal_range(name);
+  for (auto it = begin; it != end; ++it) out.insert(it->second);
+  return out;
+}
+
+// One ComputeRepair is one round loop under repair.compute: grounding,
+// translation and decomposition once, one repair.attempt per big-M round
+// holding the batch solve (instance → search per component), then the
+// verify.
+TEST(TraceTest, ComputeRepairFormsTheRoundLoopSpanTree) {
+  const bench::Scenario scenario =
+      bench::MakeBudgetScenario(/*seed=*/5, /*years=*/3, /*num_errors=*/2);
+  RunContext run;
+  repair::RepairEngineOptions options;
+  options.run = &run;
+  const repair::RepairEngine engine(options);
+  auto outcome = engine.ComputeRepair(scenario.acquired, scenario.constraints);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ASSERT_EQ(outcome->stats.bigm_retries, 0);
+
+  const auto parents = ParentNames(run);
+  using Names = std::multiset<std::string>;
+  EXPECT_EQ(ParentsOf(parents, "repair.compute"), Names{""});
+  for (const char* phase : {"repair.ground", "repair.translate",
+                            "repair.decompose", "repair.attempt",
+                            "repair.verify"}) {
+    EXPECT_EQ(ParentsOf(parents, phase), Names{"repair.compute"}) << phase;
+  }
+  EXPECT_EQ(ParentsOf(parents, "repair.solve"), Names{"repair.attempt"});
+  const Names instances = ParentsOf(parents, "milp.instance");
+  EXPECT_FALSE(instances.empty());
+  EXPECT_EQ(instances.count("repair.solve"), instances.size());
+  EXPECT_EQ(ParentsOf(parents, "milp.search").count("milp.instance"),
+            instances.size());
+  EXPECT_EQ(parents.size(), 7 + 2 * instances.size());
+}
+
+// A batch is one round loop over every document under repair.batch: one
+// translate and one decompose span for the pooled fan-out (the pipeline's
+// ground programs are shared, so nothing is grounded), one solve per round
+// whose instances nest under it even when searched on pool threads, and one
+// verify per repaired document.
+TEST(TraceTest, BatchRepairFormsTheRoundLoopSpanTree) {
+  std::vector<bench::Scenario> scenarios;
+  std::vector<cons::GroundProgram> grounds;
+  for (uint64_t seed = 0; seed < 3; ++seed) {
+    scenarios.push_back(bench::MakeBudgetScenario(seed, /*years=*/2, 2));
+  }
+  for (const bench::Scenario& scenario : scenarios) {
+    auto ground =
+        cons::GroundConstraintProgram(scenario.acquired, scenario.constraints);
+    ASSERT_TRUE(ground.ok());
+    grounds.push_back(std::move(ground).value());
+  }
+  std::vector<repair::BatchRepairRequest> requests;
+  for (size_t i = 0; i < scenarios.size(); ++i) {
+    requests.push_back({&scenarios[i].acquired, &grounds[i], {}});
+  }
+  RunContext run;
+  repair::RepairEngineOptions options;
+  options.run = &run;
+  options.milp.search.num_threads = 2;
+  const auto outcomes =
+      repair::ComputeRepairBatch(requests, scenarios[0].constraints, options);
+  for (const auto& outcome : outcomes) {
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    ASSERT_FALSE(outcome->already_consistent);
+  }
+
+  const auto parents = ParentNames(run);
+  using Names = std::multiset<std::string>;
+  EXPECT_EQ(ParentsOf(parents, "repair.batch"), Names{""});
+  EXPECT_EQ(ParentsOf(parents, "repair.ground"), Names{});
+  EXPECT_EQ(ParentsOf(parents, "repair.translate"), Names{"repair.batch"});
+  EXPECT_EQ(ParentsOf(parents, "repair.decompose"), Names{"repair.batch"});
+  const Names verifies = ParentsOf(parents, "repair.verify");
+  EXPECT_EQ(verifies.size(), scenarios.size());
+  EXPECT_EQ(verifies.count("repair.batch"), scenarios.size());
+  const Names attempts = ParentsOf(parents, "repair.attempt");
+  EXPECT_FALSE(attempts.empty());
+  EXPECT_EQ(attempts.count("repair.batch"), attempts.size());
+  const Names solves = ParentsOf(parents, "repair.solve");
+  EXPECT_EQ(solves.size(), attempts.size());
+  EXPECT_EQ(solves.count("repair.attempt"), attempts.size());
+  const Names instances = ParentsOf(parents, "milp.instance");
+  EXPECT_GE(instances.size(), scenarios.size());
+  EXPECT_EQ(instances.count("repair.solve"), instances.size());
+  EXPECT_EQ(ParentsOf(parents, "milp.search").count("milp.instance"),
+            instances.size());
 }
 
 // --- JSON run report -------------------------------------------------------

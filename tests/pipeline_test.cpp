@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/pipeline.h"
 #include "obs/context.h"
 #include "ocr/cash_budget.h"
@@ -73,6 +75,29 @@ TEST(PipelineTest, ProcessSuggestsExample6Repair) {
   EXPECT_EQ(update.new_value, rel::Value(220));
   // The repaired instance equals the source document's data.
   EXPECT_EQ(*outcome->repaired.CountDifferences(*truth), 0u);
+}
+
+TEST(PipelineTest, RepairRejectsNonFinitePins) {
+  // Repair() runs the one-shot repair core: a NaN or infinite pin must come
+  // back as InvalidArgument rather than abort inside the MILP model.
+  auto truth = CashBudgetFixture::PaperExample(false);
+  ASSERT_TRUE(truth.ok());
+  auto pipeline = MakeCashBudgetPipeline(*truth);
+  ASSERT_TRUE(pipeline.ok());
+  auto acquired_db = CashBudgetFixture::PaperExample(true);
+  ASSERT_TRUE(acquired_db.ok());
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    auto outcome =
+        pipeline->Repair(*acquired_db, {{rel::CellRef{"CashBudget", 3, 4}, bad}});
+    ASSERT_FALSE(outcome.ok()) << bad;
+    EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  auto pinned =
+      pipeline->Repair(*acquired_db, {{rel::CellRef{"CashBudget", 3, 4}, 250.0}});
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+  EXPECT_GE(pinned->repair.cardinality(), 2u);
 }
 
 TEST(PipelineTest, StringNoiseIsRepairedByWrapperAlone) {

@@ -164,26 +164,5 @@ TEST_P(PresolveAgreementTest, SolveWithAndWithoutPresolveAgree) {
 INSTANTIATE_TEST_SUITE_P(RandomModels, PresolveAgreementTest,
                          ::testing::Range(0, 20));
 
-TEST(PresolveRepairTest, PinnedRepairInstancesAgree) {
-  auto db = ocr::CashBudgetFixture::PaperExample(true);
-  ASSERT_TRUE(db.ok());
-  cons::ConstraintSet constraints;
-  ASSERT_TRUE(cons::ParseConstraintProgram(
-                  db->Schema(), ocr::CashBudgetFixture::ConstraintProgram(),
-                  &constraints)
-                  .ok());
-  std::vector<repair::FixedValue> pins = {{{"CashBudget", 3, 4}, 250.0},
-                                          {{"CashBudget", 1, 4}, 100.0}};
-  repair::RepairEngineOptions with, without;
-  with.milp.decomposition.use_presolve = true;
-  without.milp.decomposition.use_presolve = false;
-  repair::RepairEngine a(with), b(without);
-  auto ra = a.ComputeRepair(*db, constraints, pins);
-  auto rb = b.ComputeRepair(*db, constraints, pins);
-  ASSERT_TRUE(ra.ok()) << ra.status().ToString();
-  ASSERT_TRUE(rb.ok()) << rb.status().ToString();
-  EXPECT_EQ(ra->repair.cardinality(), rb->repair.cardinality());
-}
-
 }  // namespace
 }  // namespace dart::milp

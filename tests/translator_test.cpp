@@ -140,18 +140,20 @@ TEST_F(PaperTranslationTest, ConsistentDatabaseTranslatesToZeroOptimum) {
 }
 
 TEST_F(PaperTranslationTest, FixedValuePinIsHonored) {
-  // Pin z₄ to the (wrong) acquired value 250: the cheapest completion now
-  // changes 2 other cells instead (e.g. a detail receipt and the net/ending
-  // chain — cardinality must exceed 1).
+  // Pin z₄ to the (wrong) acquired value 250 the way the repair core does,
+  // as the bound z₄ ∈ [250, 250]: the cheapest completion now changes 2
+  // other cells instead (e.g. a detail receipt and the net/ending chain —
+  // cardinality must exceed 1).
   const rel::CellRef total_receipts_2003{"CashBudget", 3, 4};
-  std::vector<FixedValue> pins = {{total_receipts_2003, 250.0}};
-  auto translation = TranslateToMilp(db_, constraints_, {}, pins);
+  auto translation = TranslateToMilp(db_, constraints_);
   ASSERT_TRUE(translation.ok());
+  const int z4 = translation->z_vars[translation->CellIndex(total_receipts_2003)];
+  translation->model.SetVariableBounds(z4, 250.0, 250.0);
   milp::MilpOptions options;
   options.objective_is_integral = true;
   milp::MilpResult solved = milp::SolveMilp(translation->model, options);
   ASSERT_EQ(solved.status, milp::MilpResult::SolveStatus::kOptimal);
-  EXPECT_NEAR(solved.point[translation->z_vars[3]], 250.0, 1e-6);
+  EXPECT_NEAR(solved.point[z4], 250.0, 1e-6);
   EXPECT_GE(solved.objective, 2.0 - 1e-6);
 }
 

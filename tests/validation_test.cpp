@@ -169,7 +169,7 @@ TEST(ValidationSessionTest, RejectionActualValueSurvivesEmptyRepairPath) {
   // cell to 2,999,998. Iteration 2's optimal repair then moves both cells by
   // 2 — below the relative tolerance — so the extracted repair is empty and
   // the loop converges. verify_result must be off for this to be silent
-  // (the engine's own post-check would reject the empty repair first).
+  // (the core's own post-check would reject the empty repair first).
   rel::Database truth;
   {
     auto schema = rel::RelationSchema::Create(
@@ -202,27 +202,22 @@ constraint balance: Books(x, _) => tot(x) = 5999996;
   ASSERT_TRUE(parsed.ok()) << parsed.ToString();
   SimulatedOperator op(&truth);
 
-  for (bool incremental : {false, true}) {
-    SessionOptions options;
-    options.use_incremental = incremental;
-    options.engine.verify_result = false;
-    auto result = RunValidationSession(acquired, constraints, op, options);
-    ASSERT_TRUE(result.ok()) << "incremental=" << incremental << ": "
-                             << result.status().ToString();
-    EXPECT_TRUE(result->converged);
-    ASSERT_GE(result->rejected_updates, 1u) << "incremental=" << incremental;
-    // The rejected cell's actual source value (2,999,998) must be in the
-    // final database even though the converging repair extracted as empty.
-    EXPECT_GE(*result->repaired.CountDifferences(acquired), 1u)
-        << "incremental=" << incremental;
-    bool actual_value_present = false;
-    for (size_t row = 0; row < 2; ++row) {
-      auto value = result->repaired.ValueAt({"Books", row, 1});
-      ASSERT_TRUE(value.ok());
-      if (*value == rel::Value(int64_t{2999998})) actual_value_present = true;
-    }
-    EXPECT_TRUE(actual_value_present) << "incremental=" << incremental;
+  SessionOptions options;
+  options.engine.verify_result = false;
+  auto result = RunValidationSession(acquired, constraints, op, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->converged);
+  ASSERT_GE(result->rejected_updates, 1u);
+  // The rejected cell's actual source value (2,999,998) must be in the final
+  // database even though the converging repair extracted as empty.
+  EXPECT_GE(*result->repaired.CountDifferences(acquired), 1u);
+  bool actual_value_present = false;
+  for (size_t row = 0; row < 2; ++row) {
+    auto value = result->repaired.ValueAt({"Books", row, 1});
+    ASSERT_TRUE(value.ok());
+    if (*value == rel::Value(int64_t{2999998})) actual_value_present = true;
   }
+  EXPECT_TRUE(actual_value_present);
 }
 
 TEST(ValidationSessionTest, EffortIsBoundedByMeasureCells) {
