@@ -56,10 +56,9 @@ int main() {
   }
   table.Print();
   std::printf(
-      "\nReading: with a single error the card-minimal repair is usually\n"
-      "unique (auto_acceptable high) — DART could commit it without human\n"
-      "review; ambiguity grows with the error count, and the unreliable\n"
-      "cells are exactly the ones the Validation Interface should surface\n"
-      "first.\n");
+      "\nReading: most cells stay reliable, but even a single error usually\n"
+      "has more than one single-cell explanation, so few repairs are\n"
+      "auto-acceptable as a whole; the unreliable cells are exactly the\n"
+      "ones the Validation Interface should surface first.\n");
   return 0;
 }

@@ -63,10 +63,12 @@ void ArtifactFig4() {
   auto translation = repair::TranslateToMilp(*db, constraints);
   DART_CHECK_MSG(translation.ok(), translation.status().ToString());
   Check(translation->cells.size() == 20, "N = 20 (one z per tuple)");
-  Check(translation->ground_rows.size() == 8,
+  const std::vector<std::string> ground_rows =
+      repair::FormatGroundRows(*translation);
+  Check(ground_rows.size() == 8,
         "8 ground equalities (4 from c1, 2 from c2, 2 from c3)");
   std::printf("  S(AC) ground rows:\n");
-  for (const std::string& row : translation->ground_rows) {
+  for (const std::string& row : ground_rows) {
     std::printf("    %s\n", row.c_str());
   }
   std::printf("  theoretical M ~ 10^%.0f, practical M = %g\n",

@@ -75,16 +75,25 @@ int PickBranchVariable(const Model& model, const std::vector<double>& point,
                        double int_tol, BranchRule rule) {
   int chosen = -1;
   double best_score = -1;
+  bool chosen_binary = false;
   for (int i = 0; i < model.num_variables(); ++i) {
-    if (model.variable(i).type == VarType::kContinuous) continue;
+    const VarType type = model.variable(i).type;
+    if (type == VarType::kContinuous) continue;
     const double value = point[i];
     const double fraction = value - std::floor(value);
     const double dist = std::min(fraction, 1.0 - fraction);
     if (dist <= int_tol) continue;
     if (rule == BranchRule::kFirstFractional) return i;
+    const bool binary = type == VarType::kBinary;
+    if (rule == BranchRule::kBinaryFirst && binary != chosen_binary &&
+        chosen >= 0) {
+      if (!binary) continue;  // a fractional binary outranks any integer
+      best_score = -1;
+    }
     if (dist > best_score) {
       best_score = dist;
       chosen = i;
+      chosen_binary = binary;
     }
   }
   return chosen;

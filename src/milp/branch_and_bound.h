@@ -26,6 +26,9 @@ namespace dart::milp {
 enum class BranchRule {
   kMostFractional,  ///< fractional part closest to 1/2.
   kFirstFractional, ///< lowest variable index.
+  /// Most fractional binary, general integers only once every binary is
+  /// integral (the repair core's CQA probes; see RangeForms).
+  kBinaryFirst,
 };
 
 /// Node exploration order (ablated in bench_solver_ablation).

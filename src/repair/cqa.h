@@ -1,12 +1,10 @@
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "constraints/ast.h"
-#include "milp/branch_and_bound.h"
 #include "relational/database.h"
-#include "repair/translator.h"
+#include "repair/engine.h"
 #include "util/status.h"
 
 /// \file cqa.h
@@ -22,9 +20,12 @@
 /// explanation of the inconsistency agrees on its value, so the consistent
 /// answer of the query "value of d" is that point.
 ///
-/// Computation: solve S*(AC) once for the optimal cardinality k*, then for
-/// each cell solve two more MILPs that minimize/maximize zᵢ subject to
-/// S''(AC) ∧ Σδ ≤ k* — a direct reduction in the spirit of Sec. 5.
+/// Computation, on the repair core (repair/incremental.h): a one-document
+/// session computes the repair, leaving every component c of S*(AC) at its
+/// optimum k*_c; a cell (or linear query) then ranges per component, min and
+/// max on the component's own model under the cap "objective ≤ k*_c"
+/// (IncrementalRepairSession::RangeForms) — a direct reduction in the spirit
+/// of Sec. 5. Components with k*_c = 0 need no solve.
 
 namespace dart::repair {
 
@@ -47,25 +48,20 @@ struct CellInterval {
 };
 
 struct CqaResult {
-  /// The optimal repair cardinality k*.
+  /// The cardinality of the repair core's optimal repair.
   size_t min_repair_cardinality = 0;
-  /// One interval per translated cell, in translation order.
+  /// One interval per cell of some ground row, in cell order.
   std::vector<CellInterval> intervals;
   int64_t milp_solves = 0;
   int64_t total_nodes = 0;
 };
 
-struct CqaOptions {
-  TranslatorOptions translator;
-  milp::MilpOptions milp;
-  /// Restrict the per-cell probing to cells occurring in some ground
-  /// constraint (others are trivially reliable).
-  bool only_involved_cells = true;
-};
+/// CQA runs on the repair core, under its options.
+using CqaOptions = RepairEngineOptions;
 
-/// Computes consistent value intervals for every (involved) measure cell of
-/// `db` under the card-minimal repair semantics. Fails with Infeasible when
-/// no repair exists.
+/// Computes consistent value intervals for every measure cell of `db` that
+/// occurs in some ground constraint, under the card-minimal repair
+/// semantics. Fails with Infeasible when no repair exists.
 Result<CqaResult> ComputeConsistentIntervals(
     const rel::Database& db, const cons::ConstraintSet& constraints,
     const CqaOptions& options = {});

@@ -130,6 +130,11 @@ struct IncrementalRepairSession::Document {
   /// Pins currently folded into the component models, cell index → value.
   std::map<int, double> applied_pins;
 
+  /// How the last call ended for this document: the consistency fast path,
+  /// or a repair whose component optima `results` holds.
+  bool consistent = false;
+  bool repaired = false;
+
   // Scratch of the current call.
   std::optional<Result<RepairOutcome>> result;
   RepairOutcome outcome;
@@ -423,7 +428,7 @@ struct IncrementalRepairSession::Document {
 
   void FillStats(RepairStats* stats) const {
     stats->num_cells = translation.cells.size();
-    stats->num_ground_rows = translation.ground_rows.size();
+    stats->num_ground_rows = translation.num_ground_rows;
     stats->matrix_rows = translation.matrix_rows;
     stats->matrix_cols = translation.matrix_cols;
     stats->matrix_nnz = translation.matrix_nnz;
@@ -497,7 +502,7 @@ std::vector<Result<RepairOutcome>> IncrementalRepairSession::ComputeRepairs(
   };
   obs::RunContext* const run =
       options_.run != nullptr ? options_.run : options_.milp.run;
-  obs::Span root_span(run, span);
+  obs::Span root_span(span.empty() ? nullptr : run, span);
   const bool require_nonnegative = options_.translator.require_nonnegative;
 
   // Pin vetting, grounding and the consistency fast path, per document.
@@ -505,6 +510,7 @@ std::vector<Result<RepairOutcome>> IncrementalRepairSession::ComputeRepairs(
   for (size_t d = 0; d < num_docs; ++d) {
     Document& doc = *documents_[d];
     doc.result.reset();
+    doc.consistent = doc.repaired = false;
     doc.outcome = RepairOutcome{};
     doc.retries = 0;
     for (const FixedValue& pin : pins_of(d)) {
@@ -535,6 +541,7 @@ std::vector<Result<RepairOutcome>> IncrementalRepairSession::ComputeRepairs(
         continue;
       }
       if (violations->empty()) {
+        doc.consistent = true;
         doc.outcome.already_consistent = true;
         doc.result = std::move(doc.outcome);
         continue;
@@ -577,7 +584,7 @@ std::vector<Result<RepairOutcome>> IncrementalRepairSession::ComputeRepairs(
       obs::SetGauge(run, "repair.num_cells",
                     static_cast<double>(t.cells.size()));
       obs::SetGauge(run, "repair.num_ground_rows",
-                    static_cast<double>(t.ground_rows.size()));
+                    static_cast<double>(t.num_ground_rows));
       obs::SetGauge(run, "repair.matrix_rows", t.matrix_rows);
       obs::SetGauge(run, "repair.matrix_cols", t.matrix_cols);
       obs::SetGauge(run, "repair.matrix_nnz",
@@ -714,6 +721,7 @@ std::vector<Result<RepairOutcome>> IncrementalRepairSession::ComputeRepairs(
       Result<Repair> repair =
           doc.Finish(pins_of(d), options_.verify_result, run);
       if (repair.ok()) {
+        doc.repaired = true;
         doc.outcome.repair = std::move(repair).value();
         doc.result = std::move(doc.outcome);
       } else {
@@ -723,6 +731,106 @@ std::vector<Result<RepairOutcome>> IncrementalRepairSession::ComputeRepairs(
     out.push_back(std::move(*doc.result));
   }
   return out;
+}
+
+Result<std::vector<FormRange>> IncrementalRepairSession::RangeForms(
+    const std::vector<CellForm>& forms, size_t document) {
+  DART_CHECK(document < documents_.size());
+  const Document& doc = *documents_[document];
+  if (!doc.consistent && !doc.repaired) {
+    return Status::FailedPrecondition(
+        "RangeForms needs the last call to have repaired the document");
+  }
+  // Split each form by component. On a consistent document, and on a
+  // component with k*_c = 0 (no δ set at its optimum), the only optimal
+  // assignment is the one at hand, so that part of the form is a point;
+  // every other part becomes a probe.
+  struct Probe {
+    size_t form;
+    int comp;
+    std::vector<milp::LinearTerm> terms;  ///< component-local.
+  };
+  std::vector<Probe> probes;
+  std::vector<FormRange> ranges;
+  const auto& local_of_var = doc.decomposition.local_of_var;
+  for (size_t f = 0; f < forms.size(); ++f) {
+    double point_part = forms[f].constant;
+    std::map<int, std::vector<milp::LinearTerm>> by_component;
+    for (const auto& [cell, coeff] : forms[f].terms) {
+      if (doc.consistent) {
+        DART_ASSIGN_OR_RETURN(rel::Value v, doc.db->ValueAt(cell));
+        if (!v.is_numeric()) {
+          return Status::InvalidArgument("non-numeric cell " + cell.ToString());
+        }
+        point_part += coeff * v.AsReal();
+        continue;
+      }
+      const auto it = doc.cell_index.find(cell);
+      if (it == doc.cell_index.end()) {
+        return Status::InvalidArgument("form references untranslated cell " +
+                                       cell.ToString());
+      }
+      by_component[doc.component_of_cell[it->second]].push_back(
+          {local_of_var[doc.translation.z_vars[it->second]], coeff});
+    }
+    for (auto& [comp, terms] : by_component) {
+      const std::vector<double>& point = doc.results[comp].point;
+      if (std::any_of(doc.cells_of_component[comp].begin(),
+                      doc.cells_of_component[comp].end(), [&](int cell) {
+                        return point[static_cast<size_t>(local_of_var
+                                   [doc.translation.delta_vars[cell]])] > 0.5;
+                      })) {
+        probes.push_back(Probe{f, comp, std::move(terms)});
+      } else {
+        point_part += milp::EvalTerms(terms, point);
+      }
+    }
+    ranges.push_back({point_part, point_part});
+  }
+  if (probes.empty()) return ranges;
+
+  // A min and a max clone of each probed component, capped at k*_c and
+  // seeded with the repair optimum (feasible under the cap).
+  std::vector<milp::Model> models;
+  models.reserve(2 * probes.size());
+  std::vector<milp::BatchModel> batch;
+  for (const Probe& probe : probes) {
+    const milp::Model& base = doc.decomposition.components[probe.comp].model;
+    const milp::MilpResult& optimum = doc.results[probe.comp];
+    for (const milp::ObjectiveSense sense :
+         {milp::ObjectiveSense::kMinimize, milp::ObjectiveSense::kMaximize}) {
+      milp::Model& model = models.emplace_back(base);
+      model.AddRow("opt_cap", base.objective_terms(), milp::RowSense::kLe,
+                   integral_objective_ ? std::round(optimum.objective)
+                                       : optimum.objective);
+      model.SetObjective(probe.terms, 0, sense);
+      batch.push_back(milp::BatchModel{&model, optimum.point, nullptr});
+    }
+  }
+  obs::RunContext* const run =
+      options_.run != nullptr ? options_.run : options_.milp.run;
+  milp::MilpOptions milp_options = options_.milp;
+  milp_options.run = run;
+  milp_options.objective_is_integral = false;
+  // Branch on the δs first: once the changed cells are fixed, the rest of
+  // a capped component is nearly an LP.
+  milp_options.search.branch_rule = milp::BranchRule::kBinaryFirst;
+  obs::Span probe_span(run, "repair.probe");
+  const std::vector<milp::MilpResult> solved =
+      milp::SolveMilpBatch(batch, milp_options);
+  probe_span.End();
+  for (size_t p = 0; p < probes.size(); ++p) {
+    const milp::MilpResult& lo = solved[2 * p];
+    const milp::MilpResult& hi = solved[2 * p + 1];
+    if (lo.status != milp::MilpResult::SolveStatus::kOptimal ||
+        hi.status != milp::MilpResult::SolveStatus::kOptimal) {
+      return Status::FailedPrecondition(
+          "a probe of a capped component did not reach optimality");
+    }
+    ranges[probes[p].form].min += lo.objective;
+    ranges[probes[p].form].max += hi.objective;
+  }
+  return ranges;
 }
 
 }  // namespace dart::repair

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "constraints/ast.h"
@@ -46,12 +47,12 @@
 /// repairs and the pinned optima to those of the engine this core replaced.
 ///
 /// Observability (docs/observability.md): one root span per call —
-/// repair.incremental, or repair.compute / repair.batch for the one-shot
-/// entry points — holding repair.ground, repair.translate and
+/// repair.incremental, or repair.compute / repair.batch / repair.cqa for the
+/// other entry points — holding repair.ground, repair.translate and
 /// repair.decompose on a document's first call, one repair.attempt per solve
 /// round with its repair.solve, and one repair.verify per repaired document;
-/// the counters repair.incremental.dirty_components / .clean_reused /
-/// .translate_skipped.
+/// RangeForms adds one repair.probe around its probe batch; the counters
+/// repair.incremental.dirty_components / .clean_reused / .translate_skipped.
 
 namespace dart::repair {
 
@@ -65,6 +66,18 @@ struct SessionDocument {
   /// Per-document confidence weights, appended to options.translator.weights
   /// (cells not listed cost 1).
   std::vector<CellWeight> weights;
+};
+
+/// A linear form over repaired cell values: constant + Σ coefficient·z(cell).
+struct CellForm {
+  std::vector<std::pair<rel::CellRef, double>> terms;
+  double constant = 0;
+};
+
+/// The range of one CellForm over every optimal repair.
+struct FormRange {
+  double min = 0;
+  double max = 0;
 };
 
 /// Repair computations against fixed documents and one constraint set, which
@@ -96,11 +109,24 @@ class IncrementalRepairSession {
   /// The round loop over every document: `fixed_values[d]` and
   /// `warm_starts[d]` belong to document d (an empty vector means none for
   /// any document). Returns one result per document, in order; a failing
-  /// document fails only its own slot. `span` names the call's root span.
+  /// document fails only its own slot. `span` names the call's root span;
+  /// an empty name opens none (the caller's current span holds the loop).
   std::vector<Result<RepairOutcome>> ComputeRepairs(
       const std::vector<std::vector<FixedValue>>& fixed_values,
       const std::vector<const Repair*>& warm_starts = {},
       std::string_view span = "repair.incremental");
+
+  /// Ranges every form over all optimal repairs of document `document` under
+  /// the pins of the last call, which must have succeeded for it. Σ wᵢδᵢ is
+  /// separable, so a repair is optimal iff every component sits at its own
+  /// optimum k*_c: each component a form touches is probed (min and max) on a
+  /// clone of its current model capped at k*_c and seeded with its repair
+  /// optimum, all probes in one SolveMilpBatch. Components with k*_c = 0 and
+  /// already-consistent documents give points without a solve. Fails with
+  /// InvalidArgument for a cell outside the translation, FailedPrecondition
+  /// when the last call did not repair the document or a probe stopped early.
+  Result<std::vector<FormRange>> RangeForms(const std::vector<CellForm>& forms,
+                                            size_t document = 0);
 
   /// True once every document's translation and decomposition exist (after
   /// the first call that needed a solve).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "constraints/eval.h"
 #include "constraints/steady.h"
@@ -11,14 +10,6 @@
 namespace dart::repair {
 
 namespace {
-
-/// One ground constraint row over measure cells, before variables exist.
-struct PendingRow {
-  std::string name;
-  std::map<rel::CellRef, double> coefficients;
-  cons::CompareOp op = cons::CompareOp::kLe;
-  double rhs = 0;
-};
 
 milp::RowSense ToRowSense(cons::CompareOp op) {
   switch (op) {
@@ -40,6 +31,28 @@ int Translation::CellIndex(const rel::CellRef& cell) const {
   return -1;
 }
 
+std::vector<std::string> FormatGroundRows(const Translation& translation) {
+  // Cell i owns variables 3i..3i+2 (z, y, δ) and rows 3i..3i+2 (S'/S''); the
+  // ground rows follow.
+  const std::vector<milp::Row>& rows = translation.model.rows();
+  std::vector<std::string> out;
+  for (size_t r = 3 * translation.cells.size(); r < rows.size(); ++r) {
+    std::string description;
+    for (const milp::LinearTerm& term : rows[r].terms) {
+      if (!description.empty()) {
+        description += term.coefficient >= 0 ? " + " : " ";
+      }
+      if (term.coefficient != 1) {
+        description += FormatDouble(term.coefficient) + "*";
+      }
+      description += "z" + std::to_string(term.variable / 3 + 1);
+    }
+    out.push_back(description + " " + milp::RowSenseName(rows[r].sense) +
+                  " " + FormatDouble(rows[r].rhs));
+  }
+  return out;
+}
+
 Result<Translation> TranslateToMilp(const rel::Database& db,
                                     const cons::ConstraintSet& constraints,
                                     const TranslatorOptions& options) {
@@ -57,8 +70,8 @@ Result<Translation> TranslateGrounded(const rel::Database& db,
   // already happened in GroundConstraintProgram; here the ground rows are
   // vetted for constant (coefficient-free) instances.
   // ---------------------------------------------------------------------
-  std::vector<PendingRow> pending;
-  double max_abs_coeff = program.max_abs_factor;  // `a` of the theoretical bound
+  std::vector<const cons::GroundRow*> pending;
+  double max_abs_rhs = 0;
   for (const cons::GroundRow& ground : program.rows) {
     if (ground.coefficients.empty()) {
       // Constant row: either trivially true (drop) or impossible to repair.
@@ -69,55 +82,20 @@ Result<Translation> TranslateGrounded(const rel::Database& db,
       }
       continue;
     }
-    PendingRow row;
-    row.name = ground.name;
-    row.op = ground.op;
-    row.rhs = ground.rhs;
-    row.coefficients = ground.coefficients;
-    max_abs_coeff = std::max(max_abs_coeff, std::fabs(row.rhs));
-    pending.push_back(std::move(row));
+    max_abs_rhs = std::max(max_abs_rhs, std::fabs(ground.rhs));
+    pending.push_back(&ground);
   }
 
   // ---------------------------------------------------------------------
-  // Step 2 — choose the cell set: all measure cells (paper Example 10) or
-  // only cells occurring in some ground row.
+  // Step 2 — the cell set: one variable triple per measure cell (paper
+  // Example 10).
   // ---------------------------------------------------------------------
-  std::set<rel::CellRef> involved;
-  for (const PendingRow& row : pending) {
-    for (const auto& [cell, coeff] : row.coefficients) involved.insert(cell);
-  }
-
-  std::vector<rel::CellRef> cells;
-  if (options.restrict_to_involved) {
-    cells.assign(involved.begin(), involved.end());
-    // Keep database order (relation, row, attribute) — set order already is.
-  } else {
-    cells = db.MeasureCells();
-  }
-
+  const std::vector<rel::CellRef> cells = db.MeasureCells();
   Translation out;
   out.cells = cells;
   const size_t n_cells = cells.size();
   std::map<rel::CellRef, size_t> cell_index;
   for (size_t i = 0; i < n_cells; ++i) cell_index[cells[i]] = i;
-
-  if (options.restrict_to_involved) {
-    for (const PendingRow& row : pending) {
-      for (const auto& [cell, coeff] : row.coefficients) {
-        DART_CHECK(cell_index.count(cell) > 0);
-      }
-    }
-  } else {
-    for (const PendingRow& row : pending) {
-      for (const auto& [cell, coeff] : row.coefficients) {
-        if (cell_index.count(cell) == 0) {
-          return Status::Internal(
-              "ground row references cell outside the measure set: " +
-              cell.ToString());
-        }
-      }
-    }
-  }
 
   // Current values vᵢ and per-cell integrality.
   out.current_values.resize(n_cells);
@@ -140,10 +118,6 @@ Result<Translation> TranslateGrounded(const rel::Database& db,
   // Step 3 — big-M. Practical value for solving; theoretical bound of [22]
   // reported in log10 (it does not fit in any machine float).
   // ---------------------------------------------------------------------
-  double max_abs_rhs = 0;
-  for (const PendingRow& row : pending) {
-    max_abs_rhs = std::max(max_abs_rhs, std::fabs(row.rhs));
-  }
   double practical_m =
       options.big_m.fixed_value > 0
           ? options.big_m.fixed_value
@@ -158,7 +132,8 @@ Result<Translation> TranslateGrounded(const rel::Database& db,
     // a = max |coefficient| (paper footnote 3).
     const double m = static_cast<double>(n_cells + pending.size());
     const double n = static_cast<double>(2 * n_cells + pending.size());
-    const double a = std::max({max_abs_coeff, max_abs_value, max_abs_rhs, 1.0});
+    const double a = std::max(
+        {program.max_abs_factor, max_abs_value, max_abs_rhs, 1.0});
     out.theoretical_m_log10 =
         m > 0 ? std::log10(n) + (2 * m + 1) * std::log10(m * a) : 0;
   }
@@ -202,23 +177,23 @@ Result<Translation> TranslateGrounded(const rel::Database& db,
 
   // Ground constraint rows A·Z ⋈ B.
   out.occurrence_counts.assign(n_cells, 0);
-  for (const PendingRow& row : pending) {
+  for (const cons::GroundRow* row : pending) {
     std::vector<milp::LinearTerm> terms;
-    std::string description;
-    terms.reserve(row.coefficients.size());
-    for (const auto& [cell, coeff] : row.coefficients) {
-      const size_t index = cell_index.at(cell);
+    terms.reserve(row->coefficients.size());
+    for (const auto& [cell, coeff] : row->coefficients) {
+      const auto it = cell_index.find(cell);
+      if (it == cell_index.end()) {
+        return Status::Internal(
+            "ground row references cell outside the measure set: " +
+            cell.ToString());
+      }
+      const size_t index = it->second;
       terms.push_back({out.z_vars[index], coeff});
       ++out.occurrence_counts[index];
-      if (!description.empty()) description += coeff >= 0 ? " + " : " ";
-      if (coeff != 1) description += FormatDouble(coeff) + "*";
-      description += "z" + std::to_string(index + 1);
     }
-    description += std::string(" ") + cons::CompareOpName(row.op) + " " +
-                   FormatDouble(row.rhs);
-    out.ground_rows.push_back(std::move(description));
-    model.AddRow(row.name, std::move(terms), ToRowSense(row.op), row.rhs);
+    model.AddRow(row->name, std::move(terms), ToRowSense(row->op), row->rhs);
   }
+  out.num_ground_rows = pending.size();
 
   // Connected components of the cell–ground-row incidence graph (union-find
   // with path halving): the document structure of the instance. Cells in no
@@ -234,9 +209,9 @@ Result<Translation> TranslateGrounded(const rel::Database& db,
       }
       return x;
     };
-    for (const PendingRow& row : pending) {
+    for (const cons::GroundRow* row : pending) {
       int first = -1;
-      for (const auto& [cell, coeff] : row.coefficients) {
+      for (const auto& [cell, coeff] : row->coefficients) {
         const int index = static_cast<int>(cell_index.at(cell));
         if (first < 0) {
           first = find(index);

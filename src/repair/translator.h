@@ -54,11 +54,6 @@ struct CellWeight {
 
 struct TranslatorOptions {
   BigMPolicy big_m;
-  /// Create z/y/δ variables only for measure cells that occur in at least
-  /// one ground constraint (cells outside every constraint can never be
-  /// updated by a card-minimal repair). Off ⇒ one variable triple per
-  /// measure cell, matching the paper's Example 10 where N = 20.
-  bool restrict_to_involved = false;
   /// Optional extra lower bound 0 on every z (e.g. catalogs of prices).
   bool require_nonnegative = false;
   /// Confidence weights; cells not listed get weight 1. Non-empty weights
@@ -69,9 +64,8 @@ struct TranslatorOptions {
 /// Operator-supplied value pin: "the actual source value of this cell is v"
 /// (paper Sec. 6.3, Validation Interface). The translation never sees pins:
 /// the repair core applies each as the bound change z ∈ [v, v] on the
-/// pinned cell's component (repair/incremental.h). The cell must be one of
-/// the translation's cells (under restrict_to_involved, a cell of some
-/// ground row) and v must be finite.
+/// pinned cell's component (repair/incremental.h). The cell must be a
+/// measure cell of the database and v must be finite.
 struct FixedValue {
   rel::CellRef cell;
   double value = 0;
@@ -100,9 +94,9 @@ struct Translation {
   std::vector<int> cell_component;
   int num_cell_components = 0;
 
-  /// Ground constraint rows of S(AC) in human-readable form, for debugging
-  /// and the paper-artifact bench (Fig. 4).
-  std::vector<std::string> ground_rows;
+  /// Rows of A·Z ⋈ B (ground constraint instances with some measure cell);
+  /// FormatGroundRows renders them.
+  size_t num_ground_rows = 0;
 
   /// Constraint-matrix sparsity of the built model (rows × cols of A in
   /// S*(AC), structural nonzeros, and nnz / (rows·cols)). The matrix is
@@ -123,6 +117,11 @@ struct Translation {
   /// Index of the z variable for `cell`, or -1.
   int CellIndex(const rel::CellRef& cell) const;
 };
+
+/// The ground constraint rows of S(AC) in human-readable form
+/// ("z2 + z3 -1*z4 = 0", zᵢ numbered from 1), for debugging and the
+/// paper-artifact bench (Fig. 4). Built on demand: translation stores none.
+std::vector<std::string> FormatGroundRows(const Translation& translation);
 
 /// Builds S*(AC) for `db` and `constraints`.
 ///

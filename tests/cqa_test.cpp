@@ -114,14 +114,34 @@ TEST_F(CqaTest, IntervalsBracketEveryEngineRepair) {
 }
 
 TEST_F(CqaTest, OnlyInvolvedCellsOptionShrinksWork) {
-  CqaOptions options;
-  options.only_involved_cells = true;
-  auto restricted = ComputeConsistentIntervals(db_, constraints_, options);
+  auto restricted = ComputeConsistentIntervals(db_, constraints_);
   ASSERT_TRUE(restricted.ok());
   // All 20 cells are involved in the running example; on a database with an
   // extra unconstrained relation the restriction would shrink this.
   EXPECT_EQ(restricted->intervals.size(), 20u);
-  EXPECT_EQ(restricted->milp_solves, 1 + 2 * 20);
+  EXPECT_EQ(restricted->milp_solves, 21);
+}
+
+TEST_F(CqaTest, UniformWeightsKeepTheUnweightedIntervals) {
+  // Scaling every weight by 3 scales every repair's cost by 3, so the set
+  // of optimal repairs — and every interval — must not change.
+  CqaOptions weighted;
+  for (const rel::CellRef& cell : db_.MeasureCells()) {
+    weighted.translator.weights.push_back({cell, 3.0});
+  }
+  auto plain = ComputeConsistentIntervals(db_, constraints_);
+  auto scaled = ComputeConsistentIntervals(db_, constraints_, weighted);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_TRUE(scaled.ok()) << scaled.status().ToString();
+  EXPECT_EQ(scaled->min_repair_cardinality, 1u);
+  ASSERT_EQ(scaled->intervals.size(), plain->intervals.size());
+  for (size_t i = 0; i < plain->intervals.size(); ++i) {
+    const CellInterval& a = plain->intervals[i];
+    const CellInterval& b = scaled->intervals[i];
+    EXPECT_EQ(a.cell, b.cell);
+    EXPECT_NEAR(a.min_value, b.min_value, 1e-6) << a.cell.ToString();
+    EXPECT_NEAR(a.max_value, b.max_value, 1e-6) << a.cell.ToString();
+  }
 }
 
 TEST_F(CqaTest, AggregateQueryAnswerOnRunningExample) {

@@ -35,6 +35,7 @@
 #include "obs/slo.h"
 #include "obs/trace.h"
 #include "repair/batch.h"
+#include "repair/cqa.h"
 #include "repair/engine.h"
 
 namespace dart::obs {
@@ -703,6 +704,39 @@ TEST(TraceTest, BatchRepairFormsTheRoundLoopSpanTree) {
   const Names instances = ParentsOf(parents, "milp.instance");
   EXPECT_GE(instances.size(), scenarios.size());
   EXPECT_EQ(instances.count("repair.solve"), instances.size());
+  EXPECT_EQ(ParentsOf(parents, "milp.search").count("milp.instance"),
+            instances.size());
+}
+
+// A CQA call is one round loop plus one probe batch under repair.cqa: the
+// round loop's spans sit directly under the root, and every probe instance
+// nests under the single repair.probe.
+TEST(TraceTest, CqaFormsTheRoundLoopAndProbeSpanTree) {
+  const bench::Scenario scenario =
+      bench::MakeBudgetScenario(/*seed=*/5, /*years=*/3, /*num_errors=*/2);
+  RunContext run;
+  repair::CqaOptions options;
+  options.run = &run;
+  options.milp.search.num_threads = 2;
+  auto result = repair::ComputeConsistentIntervals(
+      scenario.acquired, scenario.constraints, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  const auto parents = ParentNames(run);
+  using Names = std::multiset<std::string>;
+  EXPECT_EQ(ParentsOf(parents, "repair.cqa"), Names{""});
+  for (const char* phase : {"repair.ground", "repair.translate",
+                            "repair.decompose", "repair.attempt",
+                            "repair.verify", "repair.probe"}) {
+    EXPECT_EQ(ParentsOf(parents, phase), Names{"repair.cqa"}) << phase;
+  }
+  EXPECT_EQ(ParentsOf(parents, "repair.solve"), Names{"repair.attempt"});
+  const Names instances = ParentsOf(parents, "milp.instance");
+  const size_t probes = instances.count("repair.probe");
+  EXPECT_GT(probes, 0u);
+  EXPECT_EQ(probes % 2, 0u);  // a min and a max per probed component
+  EXPECT_EQ(instances.count("repair.solve") + probes, instances.size());
+  EXPECT_EQ(static_cast<int64_t>(instances.size()), result->milp_solves);
   EXPECT_EQ(ParentsOf(parents, "milp.search").count("milp.instance"),
             instances.size());
 }
