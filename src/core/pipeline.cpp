@@ -212,11 +212,11 @@ BatchOutcome DartPipeline::SubmitBatch(const BatchRequest& request) const {
       std::max(1, options_.engine.milp.search.num_threads);
 
   // Phase 1 — per-document acquisition + grounding + detection, fanned out
-  // over the task pool. All shared state (compiled patterns, catalog,
+  // by ParallelFor. All shared state (compiled patterns, catalog,
   // parsed constraints) is immutable and used via const access.
   const util::TaskPoolStats pool_stats = util::ParallelFor(
       num_threads, order, [&](size_t i) {
-        // Workers carry no thread-local span stack from the caller, so nest
+        // Workers other than the calling thread carry no span stack, so nest
         // this document under the batch span by explicit parent id; Acquire's
         // own pipeline.acquire span then parents here automatically.
         obs::Span doc_span(options_.run, "pipeline.batch.document",

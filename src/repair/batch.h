@@ -9,7 +9,7 @@
 /// \file batch.h
 /// Fused multi-database repair: N acquired databases repaired by ONE
 /// component session (repair/incremental.h). Each document is translated and
-/// decomposed once (fanned out over the pool), and every round solves the
+/// decomposed once (fanned out by ParallelFor), and every round solves the
 /// dirty components of every document in a single `SolveMilpBatch` call
 /// (dealt largest-first across documents). Big-M grows in place per
 /// component, so a saturated component re-enters the next round alone while

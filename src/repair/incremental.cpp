@@ -61,11 +61,16 @@ Result<Repair> ExtractRepair(const rel::Database& db,
 
 /// Sorts updates for display per the Validation Interface heuristic
 /// (Sec. 6.3): updates whose cell occurs in more ground constraints first;
-/// ties broken by cell order for determinism.
-void OrderUpdatesForDisplay(const Translation& translation, Repair* repair) {
+/// ties broken by cell order for determinism. `cell_index` maps each
+/// translated cell to its index in `translation.cells`.
+void OrderUpdatesForDisplay(const Translation& translation,
+                            const std::map<rel::CellRef, int>& cell_index,
+                            Repair* repair) {
   auto occurrences = [&](const rel::CellRef& cell) {
-    const int index = translation.CellIndex(cell);
-    return index >= 0 ? translation.occurrence_counts[index] : 0;
+    const auto it = cell_index.find(cell);
+    return it != cell_index.end()
+               ? translation.occurrence_counts[static_cast<size_t>(it->second)]
+               : 0;
   };
   std::stable_sort(repair->updates().begin(), repair->updates().end(),
                    [&](const AtomicUpdate& a, const AtomicUpdate& b) {
@@ -422,7 +427,7 @@ struct IncrementalRepairSession::Document {
       obs::Span verify_span(run, "repair.verify");
       DART_RETURN_IF_ERROR(Verify(repair, fixed_values));
     }
-    OrderUpdatesForDisplay(translation, &repair);
+    OrderUpdatesForDisplay(translation, cell_index, &repair);
     return repair;
   }
 
@@ -554,7 +559,7 @@ std::vector<Result<RepairOutcome>> IncrementalRepairSession::ComputeRepairs(
     }
   }
 
-  // Translate and decompose each document once, fanned out over the pool
+  // Translate and decompose each document once, fanned out by ParallelFor
   // (each task writes only its own document).
   const int num_threads = std::max(1, options_.milp.search.num_threads);
   if (!fresh.empty()) {

@@ -1,5 +1,6 @@
 #include "serve/server.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <utility>
@@ -61,11 +62,7 @@ struct RepairServer::Tenant {
 };
 
 RepairServer::RepairServer(ServerOptions options)
-    : options_(std::move(options)),
-      run_(options_.trace),
-      // The pool exists from birth so pre-Start() submissions can seed it;
-      // its worker threads only spin up inside Start()'s Run() call.
-      pool_(std::make_unique<util::TaskPool<Token>>(options_.num_workers)) {}
+    : options_(std::move(options)), run_(options_.trace) {}
 
 RepairServer::~RepairServer() { (void)Stop(); }
 
@@ -110,8 +107,9 @@ Status RepairServer::ValidateTenantLocked(TenantId tenant) const {
   return Status::Ok();
 }
 
-Status RepairServer::AdmitLocked(TenantId tenant, size_t cost,
-                                 std::unique_ptr<WorkItem> item) {
+Status RepairServer::Admit(std::unique_lock<std::mutex> lock,
+                           TenantId tenant, size_t cost,
+                           std::unique_ptr<WorkItem> item) {
   Tenant& owner = *tenants_[static_cast<size_t>(tenant)];
   ++stats_.submitted;
   ++owner.stats.submitted;
@@ -151,28 +149,29 @@ Status RepairServer::AdmitLocked(TenantId tenant, size_t cost,
   obs::SetGauge(&run_, owner.queue_depth_series,
                 static_cast<double>(owner.queued_docs));
   owner.queue.push_back(std::move(item));
-  // One anonymous token per item; before Start() the seeds simply wait in
-  // the (not-yet-running) pool's deques.
-  pool_->Seed(Token{});
+  // Wake after unlocking, so the woken worker does not block on mu_ at
+  // once. Before Start() no worker waits and the item stays queued.
+  lock.unlock();
+  work_cv_.notify_one();
   return Status::Ok();
 }
 
 Result<std::future<Result<core::ProcessOutcome>>> RepairServer::Submit(
     TenantId tenant, core::ProcessRequest request) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   DART_RETURN_IF_ERROR(ValidateTenantLocked(tenant));
   auto item = std::make_unique<WorkItem>();
   item->kind = WorkItem::Kind::kProcess;
   item->process = std::move(request);
   std::future<Result<core::ProcessOutcome>> future =
       item->process_promise.get_future();
-  DART_RETURN_IF_ERROR(AdmitLocked(tenant, 1, std::move(item)));
+  DART_RETURN_IF_ERROR(Admit(std::move(lock), tenant, 1, std::move(item)));
   return future;
 }
 
 Result<std::future<Result<core::BatchOutcome>>> RepairServer::SubmitBatch(
     TenantId tenant, core::BatchRequest request) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   DART_RETURN_IF_ERROR(ValidateTenantLocked(tenant));
   const size_t cost = request.documents.size();
   if (cost == 0) {
@@ -200,7 +199,7 @@ Result<std::future<Result<core::BatchOutcome>>> RepairServer::SubmitBatch(
   item->batch = std::move(request);
   std::future<Result<core::BatchOutcome>> future =
       item->batch_promise.get_future();
-  DART_RETURN_IF_ERROR(AdmitLocked(tenant, cost, std::move(item)));
+  DART_RETURN_IF_ERROR(Admit(std::move(lock), tenant, cost, std::move(item)));
   return future;
 }
 
@@ -211,7 +210,7 @@ RepairServer::SubmitSupervised(TenantId tenant, std::string html,
   if (op == nullptr) {
     return Status::InvalidArgument("supervised submission requires an operator");
   }
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   DART_RETURN_IF_ERROR(ValidateTenantLocked(tenant));
   auto item = std::make_unique<WorkItem>();
   item->kind = WorkItem::Kind::kSupervised;
@@ -220,7 +219,7 @@ RepairServer::SubmitSupervised(TenantId tenant, std::string html,
   item->session = std::move(session_options);
   std::future<Result<validation::SessionResult>> future =
       item->supervised_promise.get_future();
-  DART_RETURN_IF_ERROR(AdmitLocked(tenant, 1, std::move(item)));
+  DART_RETURN_IF_ERROR(Admit(std::move(lock), tenant, 1, std::move(item)));
   return future;
 }
 
@@ -229,20 +228,11 @@ Status RepairServer::Start() {
   if (started_) return Status::FailedPrecondition("server already started");
   if (stopping_) return Status::FailedPrecondition("server is stopped");
   started_ = true;
-  // The hold keeps Run() alive while every queue is empty: workers idle in
-  // the backoff loop instead of terminating, and Unhold() at Stop() lets the
-  // pool drain whatever was admitted and exit.
-  pool_->Hold();
-  pool_thread_ = std::thread([this] {
-    pool_->Run([this](util::TaskPool<Token>::Worker& worker) {
-      Token token;
-      while (worker.Next(&token)) {
-        std::unique_ptr<WorkItem> item = Dequeue();
-        if (item != nullptr) Execute(item.get());
-        worker.Retire();
-      }
-    });
-  });
+  const int num_workers = std::max(1, options_.num_workers);
+  workers_.reserve(static_cast<size_t>(num_workers));
+  for (int w = 0; w < num_workers; ++w) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
   if (!options_.sinks.empty() || has_slo_) {
     obs::ExporterOptions exporter_options;
     exporter_options.interval = options_.export_interval;
@@ -266,10 +256,9 @@ Status RepairServer::Stop() {
     was_started = started_;
   }
   if (was_started) {
-    // Accepted work drains: every queued token is processed before Run()
-    // observes open == 0 and the workers exit.
-    pool_->Unhold();
-    if (pool_thread_.joinable()) pool_thread_.join();
+    // Accepted work drains: a worker exits only once every queue is empty.
+    work_cv_.notify_all();
+    for (std::thread& worker : workers_) worker.join();
   } else {
     // Never started: cancel everything still queued.
     std::lock_guard<std::mutex> lock(mu_);
@@ -293,8 +282,24 @@ Status RepairServer::Stop() {
   return Status::Ok();
 }
 
-std::unique_ptr<RepairServer::WorkItem> RepairServer::Dequeue() {
-  std::lock_guard<std::mutex> lock(mu_);
+void RepairServer::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    // Every queued item costs at least one document, so queued_docs_ > 0
+    // exactly when some tenant queue is nonempty.
+    work_cv_.wait(lock, [this] { return stopping_ || queued_docs_ > 0; });
+    std::unique_ptr<WorkItem> item = DequeueLocked();
+    if (item == nullptr) return;  // stopping, and every queue is drained
+    Tenant* tenant = tenants_[static_cast<size_t>(item->tenant)].get();
+    lock.unlock();
+    Execute(tenant, item.get());
+    lock.lock();
+    ++stats_.completed;
+    ++tenant->stats.completed;
+  }
+}
+
+std::unique_ptr<RepairServer::WorkItem> RepairServer::DequeueLocked() {
   const size_t n = tenants_.size();
   if (n == 0) return nullptr;
   for (size_t k = 0; k < n; ++k) {
@@ -317,12 +322,7 @@ std::unique_ptr<RepairServer::WorkItem> RepairServer::Dequeue() {
   return nullptr;
 }
 
-void RepairServer::Execute(WorkItem* item) {
-  Tenant* tenant;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    tenant = tenants_[static_cast<size_t>(item->tenant)].get();
-  }
+void RepairServer::Execute(Tenant* tenant, WorkItem* item) {
   const double queue_seconds =
       std::chrono::duration<double>(Clock::now() - item->submitted_at)
           .count();
@@ -355,9 +355,6 @@ void RepairServer::Execute(WorkItem* item) {
   obs::Observe(&run_, tenant->request_seconds_series, request_seconds);
   obs::Count(&run_, "serve.completed");
   obs::Count(&run_, tenant->completed_series);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.completed;
-  ++tenant->stats.completed;
 }
 
 void RepairServer::Cancel(WorkItem* item, const Status& status) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <future>
@@ -17,16 +18,14 @@
 #include "obs/sink.h"
 #include "obs/slo.h"
 #include "util/status.h"
-#include "util/task_pool.h"
 #include "validation/operator.h"
 #include "validation/session.h"
 
 /// \file server.h
 /// DART as a service: one RepairServer multiplexes N tenants — each an
 /// isolated (metadata, constraint program, pipeline options) triple — over
-/// one shared TaskPool, so a deployment serves many
-/// acquisition schemas from one process without over-provisioning a pool
-/// per tenant.
+/// one set of worker threads, so a deployment serves many acquisition
+/// schemas from one process without over-provisioning workers per tenant.
 ///
 /// The request path is asynchronous: Submit / SubmitBatch / SubmitSupervised
 /// enqueue one work item and return a future. Admission is bounded
@@ -37,6 +36,11 @@
 /// each worker takes the next nonempty tenant queue after the one served
 /// last, so one tenant's deep backlog cannot starve its neighbours' single
 /// documents.
+///
+/// The tenant queues are the only queue. Start() launches
+/// max(1, num_workers) threads that block on one condition variable while
+/// every tenant queue is empty (an idle server uses no CPU); each admission
+/// wakes one of them.
 ///
 /// Work admitted before Start() is dispatched when Start() runs (this makes
 /// dispatch order deterministic for tests); Stop() — idempotent, also run by
@@ -75,7 +79,7 @@ inline constexpr int kServeStatusSchemaVersion = 1;
 using TenantId = int;
 
 struct ServerOptions {
-  /// Worker threads of the shared pool.
+  /// Worker threads shared by every tenant (at least one is started).
   int num_workers = 4;
   /// Admission bound, in documents: a queued batch of N documents holds N
   /// units until dispatched. Submissions that would exceed it are rejected
@@ -131,7 +135,7 @@ class RepairServer {
                              core::AcquisitionMetadata metadata,
                              TenantOptions options = {});
 
-  /// Launches the worker pool (and the sink exporter, when configured),
+  /// Launches the worker threads (and the sink exporter, when configured),
   /// dispatching anything already queued. Fails on a second call.
   Status Start();
 
@@ -175,16 +179,19 @@ class RepairServer {
  private:
   struct WorkItem;
   struct Tenant;
-  /// Anonymous pool token: one per queued item; the item itself is found by
-  /// the round-robin tenant scan, not carried by the token.
-  struct Token {};
 
-  /// Admission under mu_: bounds check, enqueue, seed. `cost` in documents.
-  Status AdmitLocked(TenantId tenant, size_t cost,
-                     std::unique_ptr<WorkItem> item);
-  /// Round-robin dequeue under mu_; nullptr when every queue is empty.
-  std::unique_ptr<WorkItem> Dequeue();
-  void Execute(WorkItem* item);
+  /// Admission: bounds check and enqueue under the caller's `lock` on mu_,
+  /// which it releases before waking one worker. `cost` in documents.
+  Status Admit(std::unique_lock<std::mutex> lock, TenantId tenant,
+               size_t cost, std::unique_ptr<WorkItem> item);
+  /// One worker thread: dequeues and executes until the queues are empty
+  /// and the server is stopping.
+  void WorkerLoop();
+  /// Round-robin dequeue (mu_ held); nullptr when every queue is empty.
+  std::unique_ptr<WorkItem> DequeueLocked();
+  /// Runs one item on its tenant's pipeline and fulfills its promise
+  /// (mu_ not held).
+  void Execute(Tenant* tenant, WorkItem* item);
   /// Fulfills an item's promise with `status` (cancellation path).
   static void Cancel(WorkItem* item, const Status& status);
   Status ValidateTenantLocked(TenantId tenant) const;
@@ -200,8 +207,9 @@ class RepairServer {
   bool stopping_ = false;
   ServerStats stats_;
 
-  std::unique_ptr<util::TaskPool<Token>> pool_;
-  std::thread pool_thread_;
+  /// Signalled (after mu_ is released) on admission and at Stop().
+  std::condition_variable work_cv_;
+  std::vector<std::thread> workers_;  ///< set once by Start().
   std::unique_ptr<obs::PeriodicExporter> exporter_;
   /// Per-tenant SLO accounting; fed by the exporter (as a sink) and by
   /// AdminStatus() snapshots. Mutable: AdminStatus() is observability, but

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -316,6 +317,25 @@ TEST(RepairParityTest, SubmitBatchNoPinRepairsMatchGoldens) {
   for (int years : kYears) {
     EXPECT_EQ(SubmitBatchDigests(years), Golden(years)) << "years=" << years;
   }
+}
+
+// Branch-and-bound effort over the same corpus. Repair solves branch on the
+// most fractional variable with no node limit, so a change that makes the
+// search blow up shows here before it shows as a slow or hung repair. Each
+// component is one serial search, so the count is deterministic; the total
+// was recorded as kRecordedNodes (EXPERIMENTS.md, "Repair branching
+// effort"), and 2x leaves room for a legitimate change of search order.
+TEST(RepairParityTest, CorpusNodeCountStaysWithinTwiceRecorded) {
+  constexpr int64_t kRecordedNodes = 1448;
+  RepairEngineOptions options;
+  options.milp.search.num_threads = 1;
+  int64_t nodes = 0;
+  for (int years : kYears) {
+    for (const bench::Scenario& scenario : Scenarios(years)) {
+      nodes += bench::CollectRepairCounters(scenario, options).nodes;
+    }
+  }
+  EXPECT_LE(nodes, 2 * kRecordedNodes) << "milp.nodes over the corpus";
 }
 
 // Per-step cardinalities of PinSequenceCardinalities, seeds 0..29, recorded

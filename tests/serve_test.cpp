@@ -1,14 +1,17 @@
 // Tests for serve::RepairServer (docs/serving.md): N tenants multiplexed
-// over one shared pool must produce results bit-identical to serial
+// over one set of worker threads must produce results bit-identical to serial
 // per-tenant pipelines (at milp num_threads = 1), admission past the queue
 // bound must fail fast with kUnavailable + a retry hint (never block, never
 // crash), dispatch must round-robin across tenants, Stop() must drain every
-// accepted future, and the in-process exporter sinks must observe the
-// serve.* metric stream.
+// accepted future, idle workers must sleep rather than spin, and the
+// in-process exporter sinks must observe the serve.* metric stream.
 
 #include <gtest/gtest.h>
 
+#include <time.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -102,7 +105,7 @@ void ExpectOutcomeEquals(const Result<ProcessOutcome>& served,
 
 // Four tenants with distinct reference databases submit a mixed workload —
 // singles, one batch per tenant, supervised sessions — concurrently through
-// the shared pool. Every accepted future must complete, and every result
+// the shared workers. Every accepted future must complete, and every result
 // must be bit-identical to a direct call on a serial per-tenant pipeline
 // (30 seeds spread across the tenants).
 TEST(RepairServerTest, MultiTenantStressMatchesSerialPipelines) {
@@ -503,6 +506,47 @@ TEST(RepairServerTest, DoubleStartFails) {
   RepairServer server;
   ASSERT_TRUE(server.Start().ok());
   EXPECT_EQ(server.Start().code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(server.Stop().ok());
+}
+
+double ProcessCpuSeconds() {
+  timespec ts{};
+  EXPECT_EQ(clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts), 0);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+// Workers of a started server with no traffic block until work arrives:
+// half a second of idling costs the whole process under 10 ms of CPU.
+TEST(RepairServerTest, IdleWorkersDoNotBurnCpu) {
+  ServerOptions options;
+  options.num_workers = 4;
+  RepairServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  const double cpu_before = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const double idle_cpu = ProcessCpuSeconds() - cpu_before;
+  EXPECT_LT(idle_cpu, 0.010) << "CPU seconds used by an idle server";
+  EXPECT_TRUE(server.Stop().ok());
+}
+
+// A submission that arrives after every worker has gone to sleep wakes one
+// of them; Stop() then returns.
+TEST(RepairServerTest, IdleServerServesLateSubmission) {
+  RepairServer server;
+  auto metadata = MakeMetadata(7, nullptr);
+  ASSERT_TRUE(metadata.ok());
+  auto tenant = server.AddTenant("t", *metadata);
+  ASSERT_TRUE(tenant.ok());
+  ASSERT_TRUE(server.Start().ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  auto future =
+      server.Submit(*tenant, ProcessRequest::FromHtml(MakeHtml(3, 1)));
+  ASSERT_TRUE(future.ok()) << future.status().ToString();
+  ASSERT_EQ(future->wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  EXPECT_TRUE(future->get().ok());
   EXPECT_TRUE(server.Stop().ok());
 }
 

@@ -1,5 +1,5 @@
 // Tests for the util module: Status/Result plumbing, string helpers, the
-// seeded RNG, the table printer, and the task pool / ParallelFor fan-out.
+// seeded RNG, the table printer, and the ParallelFor fan-out.
 
 #include <gtest/gtest.h>
 
@@ -189,7 +189,7 @@ TEST(TablePrinterTest, ShortRowsPadded) {
   EXPECT_NO_THROW(printer.ToString());
 }
 
-// --- Task pool --------------------------------------------------------------
+// --- ParallelFor ------------------------------------------------------------
 
 TEST(ParallelForTest, EveryIndexRunsExactlyOnce) {
   constexpr size_t kItems = 100;
@@ -215,28 +215,6 @@ TEST(ParallelForTest, OneWorkerRunsInlineInOrder) {
     seen.push_back(index);
   });
   EXPECT_EQ(seen, order);
-}
-
-TEST(TaskPoolTest, HeldPoolRunsTasksSeededWhileRunning) {
-  // The serving pattern: Hold() before Run(), Seed() from another thread
-  // while workers idle, Unhold() to let the pool drain and return.
-  util::TaskPool<int> pool(2);
-  pool.Hold();
-  std::atomic<int> sum{0};
-  std::thread runner([&] {
-    pool.Run([&](util::TaskPool<int>::Worker& worker) {
-      int task = 0;
-      while (worker.Next(&task)) {
-        sum.fetch_add(task);
-        worker.Retire();
-      }
-    });
-  });
-  for (int i = 1; i <= 10; ++i) pool.Seed(i);
-  pool.Unhold();
-  runner.join();
-  EXPECT_EQ(sum.load(), 55);
-  EXPECT_EQ(pool.stats().busy_seconds.size(), 2u);
 }
 
 }  // namespace
