@@ -28,7 +28,23 @@ Result<GroundProgram> GroundConstraintProgram(
     return &plans.emplace(name, std::move(plan)).first->second;
   };
 
+  // One measure occurrence of the current row. A row lists its cells in
+  // CellRef order: by relation name, then by id (ids follow relation
+  // insertion order, and CellRef order within one relation).
+  struct Occurrence {
+    const std::string* relation;
+    int id;
+    double factor;
+    bool operator<(const Occurrence& o) const {
+      return relation == o.relation ? id < o.id : *relation < *o.relation;
+    }
+  };
+  std::vector<Occurrence> occurrences;
+
   GroundProgram out;
+  for (const rel::Relation& r : db.relations()) {
+    out.num_cells += r.size() * r.schema().measure_indexes().size();
+  }
   for (const AggregateConstraint& constraint : constraints.constraints()) {
     const std::vector<std::string> project = TermVariables(constraint);
     DART_ASSIGN_OR_RETURN(
@@ -36,10 +52,19 @@ Result<GroundProgram> GroundConstraintProgram(
         GroundSubstitutions(&indexes, constraint.premise, project));
     if (bindings.empty()) continue;
     std::vector<const AggregationPlan*> term_plans;
+    // Per term, per attribute of its summed expression: the id of that
+    // attribute's cell in row 0 (used for measures only; row t's cell is
+    // t · |measures| further on).
+    std::vector<std::vector<int>> term_row0_ids;
     for (const AggregateTerm& term : constraint.terms) {
       DART_ASSIGN_OR_RETURN(const AggregationPlan* plan,
                             plan_of(term.function));
       term_plans.push_back(plan);
+      std::vector<int>& row0_ids = term_row0_ids.emplace_back();
+      for (const auto& [attr, coeff] : plan->form().coefficients) {
+        row0_ids.push_back(db.MeasureCellId(
+            rel::CellRef{plan->relation().name(), 0, attr}));
+      }
     }
     int instance = 0;
     for (Binding& binding : bindings) {
@@ -52,8 +77,10 @@ Result<GroundProgram> GroundConstraintProgram(
       for (size_t i = 0; i < constraint.terms.size(); ++i) {
         const AggregateTerm& term = constraint.terms[i];
         const AggregationPlan& plan = *term_plans[i];
+        const std::vector<int>& row0_ids = term_row0_ids[i];
         const AggregationFunction& fn = plan.function();
         const rel::Relation& relation = plan.relation();
+        const size_t stride = relation.schema().measure_indexes().size();
         const LinearForm& form = plan.form();
         DART_ASSIGN_OR_RETURN(std::vector<rel::Value> params,
                               ResolveCallArgs(term, binding));
@@ -63,10 +90,14 @@ Result<GroundProgram> GroundConstraintProgram(
         // everything else is a constant under any repair (steadiness).
         for (size_t t : tuple_set) {
           row.rhs -= term.coefficient * form.constant;
+          size_t k = 0;
           for (const auto& [attr, coeff] : form.coefficients) {
             const double factor = term.coefficient * coeff;
+            const int row0_id = row0_ids[k++];
             if (relation.schema().attribute(attr).is_measure) {
-              row.coefficients[rel::CellRef{fn.relation, t, attr}] += factor;
+              occurrences.push_back(Occurrence{
+                  &relation.name(), row0_id + static_cast<int>(t * stride),
+                  factor});
               out.max_abs_factor = std::max(out.max_abs_factor,
                                             std::fabs(factor));
             } else {
@@ -81,13 +112,20 @@ Result<GroundProgram> GroundConstraintProgram(
           }
         }
       }
-      // Drop zero coefficients produced by cancellation. Rows that end up
-      // with no coefficients stay: they are constant facts the evaluator
-      // still checks and the translator treats as (ir)reparability proofs.
-      for (auto it = row.coefficients.begin(); it != row.coefficients.end();) {
-        if (it->second == 0) it = row.coefficients.erase(it);
-        else ++it;
+      // Sum each cell's factors in occurrence order. Drop zero coefficients
+      // produced by cancellation. Rows that end up with no coefficients
+      // stay: they are constant facts the evaluator still checks and the
+      // translator treats as (ir)reparability proofs.
+      std::stable_sort(occurrences.begin(), occurrences.end());
+      for (size_t k = 0; k < occurrences.size();) {
+        const int id = occurrences[k].id;
+        double coefficient = 0;
+        for (; k < occurrences.size() && occurrences[k].id == id; ++k) {
+          coefficient += occurrences[k].factor;
+        }
+        if (coefficient != 0) row.coefficients.emplace_back(id, coefficient);
       }
+      occurrences.clear();
       row.binding = std::move(binding);
       out.rows.push_back(std::move(row));
     }
@@ -95,18 +133,19 @@ Result<GroundProgram> GroundConstraintProgram(
   return out;
 }
 
-Result<std::vector<Violation>> EvaluateGroundProgram(
-    const rel::Database& db, const GroundProgram& program) {
+Result<std::vector<Violation>> EvaluateGroundRows(
+    const GroundProgram& program, const std::vector<double>& values) {
+  if (values.size() != program.num_cells) {
+    return Status::InvalidArgument(
+        "ground program over " + std::to_string(program.num_cells) +
+        " measure cells evaluated at " + std::to_string(values.size()) +
+        " values");
+  }
   std::vector<Violation> violations;
   for (const GroundRow& row : program.rows) {
     double measure_sum = 0;
-    for (const auto& [cell, coeff] : row.coefficients) {
-      DART_ASSIGN_OR_RETURN(rel::Value v, db.ValueAt(cell));
-      if (!v.is_numeric()) {
-        return Status::InvalidArgument("measure cell " + cell.ToString() +
-                                       " holds a non-numeric value");
-      }
-      measure_sum += coeff * v.AsReal();
+    for (const auto& [id, coeff] : row.coefficients) {
+      measure_sum += coeff * values[static_cast<size_t>(id)];
     }
     // Report in the constraint's original space: undo the constant shift so
     // lhs/rhs match what the constraint literally says.
@@ -122,6 +161,12 @@ Result<std::vector<Violation>> EvaluateGroundProgram(
     }
   }
   return violations;
+}
+
+Result<std::vector<Violation>> EvaluateGroundProgram(
+    const rel::Database& db, const GroundProgram& program) {
+  DART_ASSIGN_OR_RETURN(std::vector<double> values, db.MeasureValues());
+  return EvaluateGroundRows(program, values);
 }
 
 Result<std::vector<Violation>> ConsistencyChecker::Check(

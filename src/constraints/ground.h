@@ -1,7 +1,7 @@
 #pragma once
 
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "constraints/ast.h"
@@ -16,12 +16,16 @@
 /// Grounding enumerates premise substitutions and folds every steady
 /// (non-measure) attribute into constants. A `GroundProgram` is the one
 /// shared artifact: the consistency check (`ConsistencyChecker`, detection,
-/// verification) is a linear evaluation of its rows at the database's
-/// current measure values, and the MILP translation replaces those values
-/// with z variables. By steadiness (Def. 6 of the paper), T_χ and the
-/// folded constants are invariant under any repair, so one `GroundProgram`
-/// stays valid for the original database, every repair candidate, and the
-/// final verification.
+/// the repair core's verifier) is a linear evaluation of its rows at a
+/// vector of measure values (`EvaluateGroundRows`), and the MILP translation
+/// replaces those values with z variables. By steadiness (Def. 6 of the
+/// paper), T_χ and the folded constants are invariant under any repair, so
+/// one `GroundProgram` stays valid for the original database, every repair
+/// candidate, and the final verification.
+///
+/// Rows name measure cells by dense id (rel::Database::MeasureCellId, the
+/// paper's z₁…z_N). A CellRef becomes an id once at the API boundary (pins,
+/// weights, warm starts, queries) and again a CellRef only in extraction.
 ///
 /// Grounding reads the database through tuple indexes (eval.h), one per
 /// (relation, WHERE/join key attributes), so its cost grows near-linearly
@@ -30,7 +34,7 @@
 namespace dart::cons {
 
 /// One ground constraint instance, reduced to measure cells:
-///   Σ coefficients[cell]·value(cell)  op  rhs
+///   Σ coefficient·value(cell id)  op  rhs
 /// where `rhs` has the constraint's RHS shifted by every constant
 /// contribution (aggregation constants and steady-attribute terms). A row
 /// with no coefficients is a *constant* row — kept, because it still
@@ -39,7 +43,9 @@ struct GroundRow {
   std::string constraint;           ///< source constraint name.
   Binding binding;                  ///< premise substitution of this instance.
   std::string name;                 ///< "<constraint>#<k>", k per constraint.
-  std::map<rel::CellRef, double> coefficients;
+  /// (measure-cell id, coefficient), each id once, in CellRef order
+  /// (relation name, row, attribute); cancelled zeros dropped.
+  std::vector<std::pair<int, double>> coefficients;
   CompareOp op = CompareOp::kLe;
   double rhs = 0;                   ///< shifted (measure-cell) space.
   double rhs_original = 0;          ///< the constraint's literal RHS.
@@ -51,6 +57,8 @@ struct GroundProgram {
   /// the theoretical big-M bound), starting at 1. Accumulated before
   /// cancellation-dropping, exactly as the translator always did.
   double max_abs_factor = 1;
+  /// Measure cells of the grounded database: ids run 0..num_cells−1.
+  size_t num_cells = 0;
 };
 
 /// Grounds `constraints` against `db`, building each tuple index and each
@@ -63,10 +71,16 @@ struct GroundProgram {
 Result<GroundProgram> GroundConstraintProgram(
     const rel::Database& db, const ConstraintSet& constraints);
 
-/// Evaluates the ground rows at `db`'s current measure values and returns
-/// the violated instances, in row (= constraint, then substitution) order.
-/// `ConsistencyChecker::Check` is this over a fresh grounding. Violations
-/// carry the constraint's original lhs/rhs space, not the shifted row space.
+/// Evaluates the ground rows at `values` (indexed by cell id; fails unless
+/// there are `program.num_cells`) and returns the violated instances, in row
+/// (= constraint, then substitution) order. Violations carry the
+/// constraint's original lhs/rhs space, not the shifted row space.
+Result<std::vector<Violation>> EvaluateGroundRows(
+    const GroundProgram& program, const std::vector<double>& values);
+
+/// EvaluateGroundRows at `db`'s current measure values (`db` must have the
+/// grounded database's shape). `ConsistencyChecker::Check` is this over a
+/// fresh grounding.
 Result<std::vector<Violation>> EvaluateGroundProgram(
     const rel::Database& db, const GroundProgram& program);
 

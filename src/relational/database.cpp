@@ -1,5 +1,7 @@
 #include "relational/database.h"
 
+#include <algorithm>
+
 namespace dart::rel {
 
 Status Database::AddRelation(RelationSchema schema) {
@@ -39,6 +41,40 @@ std::vector<CellRef> Database::MeasureCells() const {
     for (size_t row = 0; row < r.size(); ++row) {
       for (size_t attr : r.schema().measure_indexes()) {
         out.push_back(CellRef{r.name(), row, attr});
+      }
+    }
+  }
+  return out;
+}
+
+int Database::MeasureCellId(const CellRef& cell) const {
+  size_t offset = 0;
+  for (const Relation& r : relations_) {
+    const std::vector<size_t>& measures = r.schema().measure_indexes();
+    if (r.name() == cell.relation) {
+      const auto it =
+          std::find(measures.begin(), measures.end(), cell.attribute);
+      if (cell.row >= r.size() || it == measures.end()) return -1;
+      return static_cast<int>(offset + cell.row * measures.size() +
+                              (it - measures.begin()));
+    }
+    offset += r.size() * measures.size();
+  }
+  return -1;
+}
+
+Result<std::vector<double>> Database::MeasureValues() const {
+  std::vector<double> out;
+  for (const Relation& r : relations_) {
+    for (size_t row = 0; row < r.size(); ++row) {
+      for (size_t attr : r.schema().measure_indexes()) {
+        const Value& v = r.At(row, attr);
+        if (!v.is_numeric()) {
+          return Status::InvalidArgument(
+              "measure cell " + CellRef{r.name(), row, attr}.ToString() +
+              " holds a non-numeric value");
+        }
+        out.push_back(v.AsReal());
       }
     }
   }

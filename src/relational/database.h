@@ -8,8 +8,9 @@
 
 /// \file database.h
 /// A database instance D over a scheme: a named set of relation instances,
-/// plus CellRef — the (tuple, measure attribute) coordinates that the repair
-/// machinery quantifies over.
+/// plus CellRef — the (tuple, attribute) coordinates of the API boundary —
+/// and the dense measure-cell ids (the paper's z₁…z_N numbering, Sec. 5)
+/// that grounding, translation and repair work on in between.
 
 namespace dart::rel {
 
@@ -53,9 +54,19 @@ class Database {
   /// The database scheme induced by the instance.
   DatabaseSchema Schema() const;
 
-  /// Every measure cell in the database, in (relation, row, attribute) order.
-  /// These are exactly the values a repair may change.
+  /// Every measure cell in the database, in (relation, row, attribute) order,
+  /// relations in insertion order. These are exactly the values a repair may
+  /// change; a cell's index here is its measure-cell id.
   std::vector<CellRef> MeasureCells() const;
+
+  /// The measure-cell id of `cell`, its index in MeasureCells(): computed
+  /// from the current shape, so ids stay correct as relations grow. -1 for
+  /// a non-measure attribute, a dangling row or an unknown relation.
+  int MeasureCellId(const CellRef& cell) const;
+
+  /// The value of every measure cell, indexed by id. The one place that
+  /// rejects a non-numeric measure value.
+  Result<std::vector<double>> MeasureValues() const;
 
   /// Value at a cell; fails on dangling references.
   Result<Value> ValueAt(const CellRef& cell) const;

@@ -1,7 +1,7 @@
 #include "repair/cqa.h"
 
+#include <algorithm>
 #include <functional>
-#include <set>
 
 #include "constraints/eval.h"
 #include "repair/incremental.h"
@@ -56,26 +56,29 @@ Result<CqaResult> ComputeConsistentIntervals(
     const rel::Database& db, const cons::ConstraintSet& constraints,
     const CqaOptions& options) {
   // Cells outside every ground row are never updated by a card-minimal
-  // repair; only the cells of some ground row get an interval.
-  std::set<rel::CellRef> cells;
+  // repair; only the cells of some ground row get an interval, in CellRef
+  // order.
+  const std::vector<rel::CellRef> cells = db.MeasureCells();
+  std::vector<int> ids;
   auto one_form_per_cell = [&](const cons::GroundProgram& ground) {
     for (const cons::GroundRow& row : ground.rows) {
-      for (const auto& [cell, coeff] : row.coefficients) cells.insert(cell);
+      for (const auto& [id, coeff] : row.coefficients) ids.push_back(id);
     }
+    std::sort(ids.begin(), ids.end(),
+              [&](int a, int b) { return cells[a] < cells[b]; });
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
     std::vector<CellForm> forms;
-    for (const rel::CellRef& cell : cells) forms.push_back({{{cell, 1.0}}, 0});
+    for (int id : ids) forms.push_back({{{id, 1.0}}, 0});
     return forms;
   };
   CqaResult result;
   DART_ASSIGN_OR_RETURN(
       std::vector<FormRange> ranges,
       RangeOverRepairs(db, constraints, options, one_form_per_cell, &result));
-  auto range = ranges.begin();
-  for (const rel::CellRef& cell : cells) {
-    DART_ASSIGN_OR_RETURN(rel::Value value, db.ValueAt(cell));
-    result.intervals.push_back(
-        CellInterval{cell, value.AsReal(), range->min, range->max});
-    ++range;
+  DART_ASSIGN_OR_RETURN(std::vector<double> values, db.MeasureValues());
+  for (size_t k = 0; k < ids.size(); ++k) {
+    result.intervals.push_back(CellInterval{cells[ids[k]], values[ids[k]],
+                                            ranges[k].min, ranges[k].max});
   }
   return result;
 }
@@ -112,7 +115,8 @@ Result<QueryInterval> ConsistentAggregateAnswer(
             function_name + "'");
       }
       if (relation->schema().attribute(attr).is_measure) {
-        form.terms.push_back({rel::CellRef{fn->relation, t, attr}, coeff});
+        form.terms.push_back(
+            {db.MeasureCellId(rel::CellRef{fn->relation, t, attr}), coeff});
         measure_value += coeff * v.AsReal();
       } else {
         form.constant += coeff * v.AsReal();

@@ -38,39 +38,29 @@ Result<Repair> ExtractRepair(const rel::Database& db,
     if (std::fabs(z - v) <= 1e-6 * std::max(1.0, std::fabs(v))) continue;
     DART_ASSIGN_OR_RETURN(rel::Value old_value,
                           db.ValueAt(translation.cells[i]));
-    const rel::Relation* relation =
-        db.FindRelation(translation.cells[i].relation);
-    const rel::Domain domain =
-        relation->schema().attribute(translation.cells[i].attribute).domain;
-    if (domain == rel::Domain::kInt) {
-      updates.push_back(AtomicUpdate{
-          translation.cells[i], old_value,
-          rel::Value(static_cast<int64_t>(std::llround(z)))});
-    } else {
-      // Continuous values carry simplex roundoff (…999997); snap to a
-      // 6-decimal grid — acquired documents hold finite-precision decimals,
-      // and the post-solve consistency check (1e-6 tolerance) still guards
-      // the result.
-      const double snapped = std::round(z * 1e6) / 1e6;
-      updates.push_back(
-          AtomicUpdate{translation.cells[i], old_value, rel::Value(snapped)});
-    }
+    // Continuous values carry simplex roundoff (…999997); snap to a
+    // 6-decimal grid — acquired documents hold finite-precision decimals,
+    // and the post-solve consistency check (1e-6 tolerance) still guards
+    // the result.
+    const bool integer = translation.model.variable(translation.z_vars[i])
+                             .type == milp::VarType::kInteger;
+    updates.push_back(AtomicUpdate{
+        translation.cells[i], old_value,
+        integer ? rel::Value(static_cast<int64_t>(std::llround(z)))
+                : rel::Value(std::round(z * 1e6) / 1e6)});
   }
   return Repair(std::move(updates));
 }
 
 /// Sorts updates for display per the Validation Interface heuristic
 /// (Sec. 6.3): updates whose cell occurs in more ground constraints first;
-/// ties broken by cell order for determinism. `cell_index` maps each
-/// translated cell to its index in `translation.cells`.
-void OrderUpdatesForDisplay(const Translation& translation,
-                            const std::map<rel::CellRef, int>& cell_index,
-                            Repair* repair) {
+/// ties broken by cell order for determinism.
+void OrderUpdatesForDisplay(const rel::Database& db,
+                            const Translation& translation, Repair* repair) {
   auto occurrences = [&](const rel::CellRef& cell) {
-    const auto it = cell_index.find(cell);
-    return it != cell_index.end()
-               ? translation.occurrence_counts[static_cast<size_t>(it->second)]
-               : 0;
+    const int id = db.MeasureCellId(cell);
+    return id >= 0 ? translation.occurrence_counts[static_cast<size_t>(id)]
+                   : 0;
   };
   std::stable_sort(repair->updates().begin(), repair->updates().end(),
                    [&](const AtomicUpdate& a, const AtomicUpdate& b) {
@@ -122,17 +112,14 @@ struct IncrementalRepairSession::Document {
   std::vector<milp::MilpResult> results;
   std::vector<char> dirty;  ///< per component.
 
-  std::map<rel::CellRef, int> cell_index;
+  /// Per measure-cell id.
   std::vector<int> component_of_cell;
   std::vector<std::vector<int>> cells_of_component;
   /// Current per-cell big-M (grows ×100 on component retries) and current
   /// z-box half-width (same growth), both seeded from the translation.
   std::vector<double> cell_big_m;
   std::vector<double> cell_z_box;
-  /// The verifier's view of the ground program: the cell index of every
-  /// term of every ground row, in `coefficients` order.
-  std::vector<std::vector<int>> ground_cells;
-  /// Pins currently folded into the component models, cell index → value.
+  /// Pins currently folded into the component models, cell id → value.
   std::map<int, double> applied_pins;
 
   /// How the last call ended for this document: the consistency fast path,
@@ -157,28 +144,13 @@ struct IncrementalRepairSession::Document {
     return local;
   }
 
-  /// Translates once and builds the cell bookkeeping.
+  /// Translates once and seeds the per-cell big-M and z boxes.
   Status Translate() {
     const auto t0 = std::chrono::steady_clock::now();
     DART_ASSIGN_OR_RETURN(translation,
                           TranslateGrounded(*db, *ground, translator));
-    const size_t n_cells = translation.cells.size();
-    for (size_t i = 0; i < n_cells; ++i) {
-      cell_index[translation.cells[i]] = static_cast<int>(i);
-    }
-    ground_cells.assign(ground->rows.size(), {});
-    for (size_t r = 0; r < ground->rows.size(); ++r) {
-      for (const auto& [cell, coeff] : ground->rows[r].coefficients) {
-        const auto it = cell_index.find(cell);
-        if (it == cell_index.end()) {
-          return Status::Internal("ground row references untranslated cell " +
-                                  cell.ToString());
-        }
-        ground_cells[r].push_back(it->second);
-      }
-    }
     cell_big_m = translation.big_m;
-    cell_z_box.assign(n_cells, translation.practical_m);
+    cell_z_box.assign(translation.cells.size(), translation.practical_m);
     outcome.stats.translate_seconds =
         Seconds(t0, std::chrono::steady_clock::now());
     return Status::Ok();
@@ -212,18 +184,18 @@ struct IncrementalRepairSession::Document {
     // model is touched.
     std::map<int, double> next;
     for (const FixedValue& pin : fixed_values) {
-      auto it = cell_index.find(pin.cell);
-      if (it == cell_index.end()) {
+      const int id = db->MeasureCellId(pin.cell);
+      if (id < 0) {
         return Status::InvalidArgument("fixed value targets unknown cell " +
                                        pin.cell.ToString());
       }
-      if (component_of_cell[it->second] < 0) {
+      if (component_of_cell[id] < 0) {
         return Status::Internal("pinned cell maps to no component");
       }
       // No box check: the bound z ∈ [v, v] is legal for any finite v. A pin
       // outside the component's current boxes surfaces as infeasibility or
       // y saturation, and the in-place ×100 grow then widens the boxes.
-      auto [pos, inserted] = next.emplace(it->second, pin.value);
+      auto [pos, inserted] = next.emplace(id, pin.value);
       if (!inserted && pos->second != pin.value) {
         return Status::Infeasible("contradictory operator pins for cell " +
                                   pin.cell.ToString());
@@ -278,15 +250,7 @@ struct IncrementalRepairSession::Document {
     const size_t n = static_cast<size_t>(translation.model.num_variables());
     candidate.assign(n, 0.0);
     hint.clear();
-    std::map<rel::CellRef, double> hinted;
-    if (warm_start != nullptr) {
-      for (const AtomicUpdate& update : warm_start->updates()) {
-        if (update.new_value.is_numeric()) {
-          hinted[update.cell] = update.new_value.AsReal();
-        }
-      }
-      hint.assign(n, 0.0);
-    }
+    if (warm_start != nullptr) hint.assign(n, 0.0);
     auto set = [&](std::vector<double>& point, size_t i, double z) {
       const double y = z - translation.current_values[i];
       point[static_cast<size_t>(translation.z_vars[i])] = z;
@@ -298,9 +262,13 @@ struct IncrementalRepairSession::Document {
       const double v = translation.current_values[i];
       auto pin = applied_pins.find(static_cast<int>(i));
       set(candidate, i, pin != applied_pins.end() ? pin->second : v);
-      if (warm_start != nullptr) {
-        auto it = hinted.find(translation.cells[i]);
-        set(hint, i, it != hinted.end() ? it->second : v);
+      if (warm_start != nullptr) set(hint, i, v);
+    }
+    if (warm_start == nullptr) return;
+    for (const AtomicUpdate& update : warm_start->updates()) {
+      const int id = db->MeasureCellId(update.cell);
+      if (id >= 0 && update.new_value.is_numeric()) {
+        set(hint, static_cast<size_t>(id), update.new_value.AsReal());
       }
     }
   }
@@ -361,34 +329,25 @@ struct IncrementalRepairSession::Document {
   }
 
   /// The one verifier: the repaired cell values must satisfy every ground
-  /// row (the full ρ(D) ⊨ AC check by steadiness, evaluated exactly like
-  /// cons::EvaluateGroundProgram but without cloning the database) and
-  /// every pin.
+  /// row (the full ρ(D) ⊨ AC check by steadiness, by the row evaluator
+  /// detection uses, without cloning the database) and every pin.
   Status Verify(const Repair& repair,
                 const std::vector<FixedValue>& fixed_values) const {
     std::vector<double> values = translation.current_values;
     for (const AtomicUpdate& update : repair.updates()) {
-      values[static_cast<size_t>(cell_index.at(update.cell))] =
+      values[static_cast<size_t>(db->MeasureCellId(update.cell))] =
           update.new_value.AsReal();
     }
-    for (size_t r = 0; r < ground->rows.size(); ++r) {
-      const cons::GroundRow& row = ground->rows[r];
-      double measure_sum = 0;
-      size_t k = 0;
-      for (const auto& [cell, coeff] : row.coefficients) {
-        measure_sum +=
-            coeff * values[static_cast<size_t>(ground_cells[r][k++])];
-      }
-      const double lhs = measure_sum + (row.rhs_original - row.rhs);
-      if (!cons::SatisfiesCompare(lhs, row.op, row.rhs_original)) {
-        return Status::Internal(
-            "solver returned a repair that does not satisfy AC — numerical "
-            "failure in the MILP layer");
-      }
+    DART_ASSIGN_OR_RETURN(std::vector<cons::Violation> violations,
+                          cons::EvaluateGroundRows(*ground, values));
+    if (!violations.empty()) {
+      return Status::Internal(
+          "solver returned a repair that does not satisfy AC — numerical "
+          "failure in the MILP layer");
     }
     for (const FixedValue& pin : fixed_values) {
       const double value =
-          values[static_cast<size_t>(cell_index.at(pin.cell))];
+          values[static_cast<size_t>(db->MeasureCellId(pin.cell))];
       if (std::fabs(value - pin.value) > 1e-6) {
         return Status::Internal("operator pin not honored by the repair");
       }
@@ -427,7 +386,7 @@ struct IncrementalRepairSession::Document {
       obs::Span verify_span(run, "repair.verify");
       DART_RETURN_IF_ERROR(Verify(repair, fixed_values));
     }
-    OrderUpdatesForDisplay(translation, cell_index, &repair);
+    OrderUpdatesForDisplay(*db, translation, &repair);
     return repair;
   }
 
@@ -758,25 +717,22 @@ Result<std::vector<FormRange>> IncrementalRepairSession::RangeForms(
   std::vector<Probe> probes;
   std::vector<FormRange> ranges;
   const auto& local_of_var = doc.decomposition.local_of_var;
+  DART_ASSIGN_OR_RETURN(const std::vector<double> values,
+                        doc.db->MeasureValues());
   for (size_t f = 0; f < forms.size(); ++f) {
     double point_part = forms[f].constant;
     std::map<int, std::vector<milp::LinearTerm>> by_component;
-    for (const auto& [cell, coeff] : forms[f].terms) {
+    for (const auto& [id, coeff] : forms[f].terms) {
+      if (id < 0 || static_cast<size_t>(id) >= values.size()) {
+        return Status::InvalidArgument("form references unknown cell id " +
+                                       std::to_string(id));
+      }
       if (doc.consistent) {
-        DART_ASSIGN_OR_RETURN(rel::Value v, doc.db->ValueAt(cell));
-        if (!v.is_numeric()) {
-          return Status::InvalidArgument("non-numeric cell " + cell.ToString());
-        }
-        point_part += coeff * v.AsReal();
+        point_part += coeff * values[id];
         continue;
       }
-      const auto it = doc.cell_index.find(cell);
-      if (it == doc.cell_index.end()) {
-        return Status::InvalidArgument("form references untranslated cell " +
-                                       cell.ToString());
-      }
-      by_component[doc.component_of_cell[it->second]].push_back(
-          {local_of_var[doc.translation.z_vars[it->second]], coeff});
+      by_component[doc.component_of_cell[id]].push_back(
+          {local_of_var[doc.translation.z_vars[id]], coeff});
     }
     for (auto& [comp, terms] : by_component) {
       const std::vector<double>& point = doc.results[comp].point;

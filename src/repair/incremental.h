@@ -68,9 +68,10 @@ struct SessionDocument {
   std::vector<CellWeight> weights;
 };
 
-/// A linear form over repaired cell values: constant + Σ coefficient·z(cell).
+/// A linear form over repaired cell values: constant + Σ coefficient·z(id),
+/// over measure-cell ids (rel::Database::MeasureCellId).
 struct CellForm {
-  std::vector<std::pair<rel::CellRef, double>> terms;
+  std::vector<std::pair<int, double>> terms;
   double constant = 0;
 };
 
@@ -123,7 +124,7 @@ class IncrementalRepairSession {
   /// clone of its current model capped at k*_c and seeded with its repair
   /// optimum, all probes in one SolveMilpBatch. Components with k*_c = 0 and
   /// already-consistent documents give points without a solve. Fails with
-  /// InvalidArgument for a cell outside the translation, FailedPrecondition
+  /// InvalidArgument for an unknown cell id, FailedPrecondition
   /// when the last call did not repair the document or a probe stopped early.
   Result<std::vector<FormRange>> RangeForms(const std::vector<CellForm>& forms,
                                             size_t document = 0);

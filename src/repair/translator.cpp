@@ -24,13 +24,6 @@ milp::RowSense ToRowSense(cons::CompareOp op) {
 
 }  // namespace
 
-int Translation::CellIndex(const rel::CellRef& cell) const {
-  for (size_t i = 0; i < cells.size(); ++i) {
-    if (cells[i] == cell) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 std::vector<std::string> FormatGroundRows(const Translation& translation) {
   // Cell i owns variables 3i..3i+2 (z, y, δ) and rows 3i..3i+2 (S'/S''); the
   // ground rows follow.
@@ -88,30 +81,29 @@ Result<Translation> TranslateGrounded(const rel::Database& db,
 
   // ---------------------------------------------------------------------
   // Step 2 — the cell set: one variable triple per measure cell (paper
-  // Example 10).
+  // Example 10), zᵢ for the cell of id i.
   // ---------------------------------------------------------------------
-  const std::vector<rel::CellRef> cells = db.MeasureCells();
   Translation out;
-  out.cells = cells;
-  const size_t n_cells = cells.size();
-  std::map<rel::CellRef, size_t> cell_index;
-  for (size_t i = 0; i < n_cells; ++i) cell_index[cells[i]] = i;
-
+  out.cells = db.MeasureCells();
+  const size_t n_cells = out.cells.size();
+  if (program.num_cells != n_cells) {
+    return Status::InvalidArgument("ground program of another database");
+  }
   // Current values vᵢ and per-cell integrality.
-  out.current_values.resize(n_cells);
-  std::vector<bool> is_integer(n_cells, false);
-  double max_abs_value = 0;
-  for (size_t i = 0; i < n_cells; ++i) {
-    DART_ASSIGN_OR_RETURN(rel::Value v, db.ValueAt(cells[i]));
-    if (!v.is_numeric()) {
-      return Status::InvalidArgument("measure cell " + cells[i].ToString() +
-                                     " holds a non-numeric value");
+  DART_ASSIGN_OR_RETURN(out.current_values, db.MeasureValues());
+  std::vector<bool> is_integer;
+  is_integer.reserve(n_cells);
+  for (const rel::Relation& relation : db.relations()) {
+    for (size_t row = 0; row < relation.size(); ++row) {
+      for (size_t attr : relation.schema().measure_indexes()) {
+        is_integer.push_back(relation.schema().attribute(attr).domain ==
+                             rel::Domain::kInt);
+      }
     }
-    out.current_values[i] = v.AsReal();
-    max_abs_value = std::max(max_abs_value, std::fabs(out.current_values[i]));
-    const rel::Relation* relation = db.FindRelation(cells[i].relation);
-    is_integer[i] = relation->schema().attribute(cells[i].attribute).domain ==
-                    rel::Domain::kInt;
+  }
+  double max_abs_value = 0;
+  for (double v : out.current_values) {
+    max_abs_value = std::max(max_abs_value, std::fabs(v));
   }
 
   // ---------------------------------------------------------------------
@@ -180,58 +172,13 @@ Result<Translation> TranslateGrounded(const rel::Database& db,
   for (const cons::GroundRow* row : pending) {
     std::vector<milp::LinearTerm> terms;
     terms.reserve(row->coefficients.size());
-    for (const auto& [cell, coeff] : row->coefficients) {
-      const auto it = cell_index.find(cell);
-      if (it == cell_index.end()) {
-        return Status::Internal(
-            "ground row references cell outside the measure set: " +
-            cell.ToString());
-      }
-      const size_t index = it->second;
-      terms.push_back({out.z_vars[index], coeff});
-      ++out.occurrence_counts[index];
+    for (const auto& [id, coeff] : row->coefficients) {
+      terms.push_back({out.z_vars[static_cast<size_t>(id)], coeff});
+      ++out.occurrence_counts[static_cast<size_t>(id)];
     }
     model.AddRow(row->name, std::move(terms), ToRowSense(row->op), row->rhs);
   }
   out.num_ground_rows = pending.size();
-
-  // Connected components of the cell–ground-row incidence graph (union-find
-  // with path halving): the document structure of the instance. Cells in no
-  // ground row stay singletons.
-  {
-    std::vector<int> parent(n_cells);
-    for (size_t i = 0; i < n_cells; ++i) parent[i] = static_cast<int>(i);
-    auto find = [&](int x) {
-      while (parent[static_cast<size_t>(x)] != x) {
-        parent[static_cast<size_t>(x)] =
-            parent[static_cast<size_t>(parent[static_cast<size_t>(x)])];
-        x = parent[static_cast<size_t>(x)];
-      }
-      return x;
-    };
-    for (const cons::GroundRow* row : pending) {
-      int first = -1;
-      for (const auto& [cell, coeff] : row->coefficients) {
-        const int index = static_cast<int>(cell_index.at(cell));
-        if (first < 0) {
-          first = find(index);
-        } else {
-          const int root = find(index);
-          if (root != first) parent[static_cast<size_t>(root)] = first;
-        }
-      }
-    }
-    out.cell_component.assign(n_cells, -1);
-    std::vector<int> component_of_root(n_cells, -1);
-    for (size_t i = 0; i < n_cells; ++i) {
-      const int root = find(static_cast<int>(i));
-      if (component_of_root[static_cast<size_t>(root)] < 0) {
-        component_of_root[static_cast<size_t>(root)] =
-            out.num_cell_components++;
-      }
-      out.cell_component[i] = component_of_root[static_cast<size_t>(root)];
-    }
-  }
 
   // Objective: min Σ wᵢ·δᵢ (wᵢ = 1 everywhere in the paper's card-minimal
   // semantics; confidence weights are the weight-minimal extension).
@@ -241,8 +188,8 @@ Result<Translation> TranslateGrounded(const rel::Database& db,
       return Status::InvalidArgument("cell weight must be positive for " +
                                      weight.cell.ToString());
     }
-    auto it = cell_index.find(weight.cell);
-    if (it != cell_index.end()) weights[it->second] = weight.weight;
+    const int id = db.MeasureCellId(weight.cell);
+    if (id >= 0) weights[static_cast<size_t>(id)] = weight.weight;
   }
   std::vector<milp::LinearTerm> objective;
   objective.reserve(n_cells);

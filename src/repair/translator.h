@@ -1,6 +1,5 @@
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -25,6 +24,12 @@
 /// Steadiness is what makes step one possible: T_χ of every ground
 /// aggregation function is computable from the current (non-measure) data and
 /// is invariant under any repair, so Σ over T_χ is a fixed linear form in Z.
+///
+/// zᵢ, yᵢ and δᵢ belong to the measure cell of id i
+/// (rel::Database::MeasureCellId). The ground rows already name cells by id,
+/// so A·Z is built by indexing, and vᵢ comes from Database::MeasureValues;
+/// a CellRef appears only in `Translation::cells` (for repair extraction)
+/// and in the weights, each converted to an id once per translation.
 
 namespace dart::repair {
 
@@ -75,7 +80,8 @@ struct FixedValue {
 struct Translation {
   milp::Model model;
 
-  /// Cell ↔ variable bookkeeping: cells[i] is the database item of zᵢ.
+  /// Cell ↔ variable bookkeeping, indexed by measure-cell id
+  /// (rel::Database::MeasureCellId): cells[i] is the database item of zᵢ.
   std::vector<rel::CellRef> cells;
   std::vector<double> current_values;  ///< vᵢ.
   std::vector<int> z_vars;             ///< model index of zᵢ.
@@ -86,13 +92,6 @@ struct Translation {
   /// Number of ground-constraint rows each cell occurs in — the Validation
   /// Interface's display-ordering key (Sec. 6.3).
   std::vector<int> occurrence_counts;
-
-  /// Connected component of each cell in the cell–ground-row incidence
-  /// graph (cells from different acquired documents never share a ground
-  /// row, so this is a document-structure fingerprint of the instance).
-  /// Cells outside every ground row form singleton components.
-  std::vector<int> cell_component;
-  int num_cell_components = 0;
 
   /// Rows of A·Z ⋈ B (ground constraint instances with some measure cell);
   /// FormatGroundRows renders them.
@@ -113,9 +112,6 @@ struct Translation {
   /// log10 of the theoretical bound n·(ma)^(2m+1) of [22] (the bound itself
   /// does not fit in a double).
   double theoretical_m_log10 = 0;
-
-  /// Index of the z variable for `cell`, or -1.
-  int CellIndex(const rel::CellRef& cell) const;
 };
 
 /// The ground constraint rows of S(AC) in human-readable form

@@ -161,7 +161,6 @@ std::optional<RowPatternInstance> RowMatcher::MatchRow(
 Result<std::vector<std::optional<RowPatternInstance>>> RowMatcher::MatchGrid(
     const TableGrid& grid) const {
   DART_RETURN_IF_ERROR(status_);
-  obs::Span grid_span(options_.run, "wrapper.match_grid");
   std::vector<std::optional<RowPatternInstance>> out;
   out.reserve(grid.num_rows());
   for (size_t r = 0; r < grid.num_rows(); ++r) {

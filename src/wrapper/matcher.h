@@ -59,8 +59,9 @@ struct MatcherOptions {
   double min_row_score = 0.5;
   /// Observability sink (nullptr = no-op): wrapper.match_attempts,
   /// wrapper.cell_rejections, wrapper.row_rejections, wrapper.rows_matched,
-  /// wrapper.rows_unmatched, wrapper.string_repairs, plus a
-  /// wrapper.match_grid span per grid. See docs/observability.md.
+  /// wrapper.rows_unmatched, wrapper.string_repairs. The Wrapper that owns
+  /// the matcher opens its wrapper.parse, wrapper.grid and
+  /// wrapper.match_grid spans on the same run. See docs/observability.md.
   obs::RunContext* run = nullptr;
 };
 

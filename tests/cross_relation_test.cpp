@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "constraints/eval.h"
 #include "constraints/parser.h"
 #include "constraints/steady.h"
 #include "ocr/cash_budget.h"
+#include "repair/cqa.h"
 #include "repair/engine.h"
 
 namespace dart::repair {
@@ -145,6 +148,30 @@ constraint reconcile: CashBudget(y, _, _, _, _), Bank(y, _)
   EXPECT_EQ(outcome->repair.updates()[0].cell,
             (rel::CellRef{"CashBudget", 19, 4}));
   EXPECT_EQ(outcome->repair.updates()[0].new_value, rel::Value(90));
+}
+
+TEST_F(CrossRelationTest, IntervalsComeOutInCellOrder) {
+  // Bank was inserted after CashBudget, so its cells have the larger ids,
+  // yet intervals list cells in CellRef order (relation name first). The
+  // corrupted 2004 balance has two single-change explanations, so both of
+  // its cells range; the matching 2003 pair is reliable.
+  rel::Database corrupted = db_.Clone();
+  ASSERT_TRUE(corrupted.UpdateCell({"Bank", 1, 1}, rel::Value(20)).ok());
+  auto cqa = ComputeConsistentIntervals(corrupted, constraints_);
+  ASSERT_TRUE(cqa.ok()) << cqa.status().ToString();
+  ASSERT_EQ(cqa->intervals.size(), 4u);
+  std::vector<rel::CellRef> cells;
+  for (const CellInterval& interval : cqa->intervals) {
+    cells.push_back(interval.cell);
+    const bool explains_2004 =
+        interval.cell == rel::CellRef{"Bank", 1, 1} ||
+        interval.cell == rel::CellRef{"CashBudget", 19, 4};
+    EXPECT_EQ(interval.reliable(), !explains_2004) << interval.cell.ToString();
+  }
+  EXPECT_EQ(cells, (std::vector<rel::CellRef>{{"Bank", 0, 1},
+                                              {"Bank", 1, 1},
+                                              {"CashBudget", 9, 4},
+                                              {"CashBudget", 19, 4}}));
 }
 
 TEST_F(CrossRelationTest, MeasureCellsSpanRelations) {

@@ -518,14 +518,20 @@ TEST(DecomposeEngineTest, TranslatorReportsDocumentComponents) {
       TranslateToMilp(scenario.acquired, scenario.constraints);
   ASSERT_TRUE(translation.ok()) << translation.status().ToString();
   // Every document is (at least) one component; the per-year structure of
-  // the budget usually splits further, but never across documents.
-  EXPECT_GE(translation->num_cell_components, 3);
-  ASSERT_EQ(translation->cell_component.size(), translation->cells.size());
+  // the budget usually splits further, but never across documents. A cell's
+  // component is that of its z variable.
+  const milp::Decomposition decomposition =
+      milp::DecomposeModel(translation->model);
+  EXPECT_GE(decomposition.num_components(), 3);
+  std::vector<int> cell_component;
+  for (int z : translation->z_vars) {
+    cell_component.push_back(decomposition.component_of_var[z]);
+  }
+  ASSERT_EQ(cell_component.size(), translation->cells.size());
   for (size_t i = 0; i < translation->cells.size(); ++i) {
     for (size_t j = 0; j < translation->cells.size(); ++j) {
       if (translation->cells[i].relation != translation->cells[j].relation) {
-        EXPECT_NE(translation->cell_component[i],
-                  translation->cell_component[j]);
+        EXPECT_NE(cell_component[i], cell_component[j]);
       }
     }
   }

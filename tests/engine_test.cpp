@@ -154,7 +154,7 @@ TEST_F(RunningExampleEngineTest, DisplayOrderPutsMostConstrainedFirst) {
   ASSERT_TRUE(translation.ok());
   int previous = 1 << 30;
   for (const AtomicUpdate& update : outcome->repair.updates()) {
-    const int index = translation->CellIndex(update.cell);
+    const int index = db_.MeasureCellId(update.cell);
     ASSERT_GE(index, 0);
     const int count = translation->occurrence_counts[index];
     EXPECT_LE(count, previous);

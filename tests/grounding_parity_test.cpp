@@ -34,7 +34,10 @@ std::string SerializeValue(const rel::Value& v) {
   return "s:" + v.AsString();
 }
 
-std::string Serialize(const GroundProgram& program) {
+// Cells serialize as their CellRef text (ids mapped back through `db`), so
+// the digests recorded when rows were keyed by CellRef still apply.
+std::string Serialize(const rel::Database& db, const GroundProgram& program) {
+  const std::vector<rel::CellRef> cells = db.MeasureCells();
   std::string out;
   char buf[128];
   for (const GroundRow& row : program.rows) {
@@ -43,7 +46,8 @@ std::string Serialize(const GroundProgram& program) {
       out += var + "=" + SerializeValue(value) + ",";
     }
     out += "|";
-    for (const auto& [cell, coeff] : row.coefficients) {
+    for (const auto& [id, coeff] : row.coefficients) {
+      const rel::CellRef& cell = cells[static_cast<size_t>(id)];
       std::snprintf(buf, sizeof(buf), "%zu.%zu:%.17g,", cell.row,
                     cell.attribute, coeff);
       out += cell.relation + buf;
@@ -57,9 +61,9 @@ std::string Serialize(const GroundProgram& program) {
   return out + buf;
 }
 
-std::string Digest(const GroundProgram& program) {
+std::string Digest(const rel::Database& db, const GroundProgram& program) {
   uint64_t hash = 14695981039346656037ull;  // FNV-1a 64-bit.
-  for (unsigned char c : Serialize(program)) {
+  for (unsigned char c : Serialize(db, program)) {
     hash ^= c;
     hash *= 1099511628211ull;
   }
@@ -74,7 +78,7 @@ std::string GroundDigest(const rel::Database& db, const std::string& program) {
   DART_CHECK_MSG(status.ok(), status.ToString());
   Result<GroundProgram> ground = GroundConstraintProgram(db, constraints);
   DART_CHECK_MSG(ground.ok(), ground.status().ToString());
-  return Digest(*ground);
+  return Digest(db, *ground);
 }
 
 std::string CashBudgetDigest(int years, int seed) {

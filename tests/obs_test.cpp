@@ -1,11 +1,12 @@
 // Tests for the dart::obs observability layer: the sharded metrics registry
 // under write contention, snapshot deltas, the span tree produced by a
-// decomposed batch solve across pool threads and of the repair core's round
-// loop (one-shot and batch), the no-op null-context
-// path, the JSON run report (round-tripped through a minimal in-test
-// parser), the engine's registry-published search counters, the bounded
-// trace ring under overflow (head + latency-biased tail sampling), and the
-// streaming PeriodicExporter lifecycle with its pluggable in-process sinks.
+// decomposed batch solve across pool threads, of the repair core's round loop
+// (one-shot and batch) and of acquisition's wrapper stages, the no-op
+// null-context path, the JSON run report (round-tripped through a minimal
+// in-test parser), the engine's registry-published search counters, the
+// bounded trace ring under overflow (head + latency-biased tail sampling),
+// and the streaming PeriodicExporter lifecycle with its pluggable in-process
+// sinks.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "../bench/bench_util.h"
+#include "core/pipeline.h"
 #include "milp/branch_and_bound.h"
 #include "milp/decompose.h"
 #include "milp/model.h"
@@ -34,6 +36,7 @@
 #include "obs/sink.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
+#include "ocr/cash_budget.h"
 #include "repair/batch.h"
 #include "repair/cqa.h"
 #include "repair/engine.h"
@@ -739,6 +742,45 @@ TEST(TraceTest, CqaFormsTheRoundLoopAndProbeSpanTree) {
   EXPECT_EQ(static_cast<int64_t>(instances.size()), result->milp_solves);
   EXPECT_EQ(ParentsOf(parents, "milp.search").count("milp.instance"),
             instances.size());
+}
+
+// Acquisition under a pipeline's RunContext: acquire.wrap holds the HTML
+// parse, the grid builds and the grid matches, one span each whatever the
+// table count, so none of the wrapper's time shows as acquire.wrap's self
+// time.
+TEST(TraceTest, AcquireFormsTheWrapperSpanTree) {
+  auto truth = ocr::CashBudgetFixture::PaperExample(false);
+  ASSERT_TRUE(truth.ok());
+  core::AcquisitionMetadata metadata;
+  auto catalog = ocr::CashBudgetFixture::BuildCatalog(*truth);
+  ASSERT_TRUE(catalog.ok());
+  metadata.catalog = std::move(catalog).value();
+  metadata.patterns = ocr::CashBudgetFixture::BuildPatterns();
+  auto mapping = ocr::CashBudgetFixture::BuildMapping(*truth);
+  ASSERT_TRUE(mapping.ok());
+  metadata.mappings = {std::move(mapping).value()};
+  metadata.constraint_program = ocr::CashBudgetFixture::ConstraintProgram();
+  RunContext run;
+  core::PipelineOptions options;
+  options.run = &run;
+  auto pipeline = core::DartPipeline::Create(std::move(metadata), options);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  auto acquisition =
+      pipeline->Acquire(ocr::CashBudgetFixture::RenderHtml(*truth));
+  ASSERT_TRUE(acquisition.ok()) << acquisition.status().ToString();
+  ASSERT_EQ(acquisition->extraction.tables, 2u);
+
+  const auto parents = ParentNames(run);
+  using Names = std::multiset<std::string>;
+  EXPECT_EQ(ParentsOf(parents, "pipeline.acquire"), Names{""});
+  EXPECT_EQ(ParentsOf(parents, "acquire.wrap"), Names{"pipeline.acquire"});
+  EXPECT_EQ(ParentsOf(parents, "acquire.generate"),
+            Names{"pipeline.acquire"});
+  for (const char* stage :
+       {"wrapper.parse", "wrapper.grid", "wrapper.match_grid"}) {
+    EXPECT_EQ(ParentsOf(parents, stage), Names{"acquire.wrap"}) << stage;
+  }
+  EXPECT_EQ(parents.size(), 6u);
 }
 
 // --- JSON run report -------------------------------------------------------

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "relational/csv.h"
 #include "relational/database.h"
 #include "relational/relation.h"
@@ -136,6 +139,58 @@ TEST(DatabaseTest, MeasureCellsEnumeration) {
   ASSERT_EQ(cells.size(), 4u);  // 2 rows × 2 measure attrs
   EXPECT_EQ(cells[0], (CellRef{"T", 0, 1}));
   EXPECT_EQ(cells[3], (CellRef{"T", 1, 2}));
+}
+
+// Measure-cell ids follow relation insertion order (CashBudget before Bank
+// here, against name order), come from the current shape, so they stay
+// right as a relation grows, and are -1 for every cell that is not a
+// measure cell. MeasureValues lists the values in id order.
+TEST(DatabaseTest, MeasureCellIdsFollowInsertionOrder) {
+  auto budget_schema = [](const std::string& name) {
+    auto schema = RelationSchema::Create(
+        name, {{"Year", Domain::kInt, false},
+               {"Value", Domain::kInt, true},
+               {"Rate", Domain::kReal, true}});
+    DART_CHECK(schema.ok());
+    return std::move(schema).value();
+  };
+  Database db;
+  ASSERT_TRUE(db.AddRelation(budget_schema("CashBudget")).ok());
+  ASSERT_TRUE(db.AddRelation(budget_schema("Bank")).ok());
+  Relation* budget = db.FindRelation("CashBudget");
+  Relation* bank = db.FindRelation("Bank");
+  ASSERT_TRUE(budget->Insert({Value(2003), Value(10), Value(0.5)}).ok());
+  ASSERT_TRUE(budget->Insert({Value(2004), Value(20), Value(1)}).ok());
+  ASSERT_TRUE(bank->Insert({Value(2003), Value(30), Value(1.5)}).ok());
+
+  auto expect_dense_ids = [&] {
+    const std::vector<CellRef> cells = db.MeasureCells();
+    for (size_t i = 0; i < cells.size(); ++i) {
+      EXPECT_EQ(db.MeasureCellId(cells[i]), static_cast<int>(i))
+          << cells[i].ToString();
+    }
+    auto values = db.MeasureValues();
+    ASSERT_TRUE(values.ok()) << values.status().ToString();
+    ASSERT_EQ(values->size(), cells.size());
+    for (size_t i = 0; i < cells.size(); ++i) {
+      EXPECT_EQ((*values)[i], db.ValueAt(cells[i])->AsReal());
+    }
+  };
+  expect_dense_ids();
+  EXPECT_EQ(db.MeasureCells()[0], (CellRef{"CashBudget", 0, 1}));
+  EXPECT_EQ(db.MeasureCellId({"CashBudget", 1, 2}), 3);
+  EXPECT_EQ(db.MeasureCellId({"Bank", 0, 1}), 4);
+
+  EXPECT_EQ(db.MeasureCellId({"CashBudget", 0, 0}), -1);  // not a measure
+  EXPECT_EQ(db.MeasureCellId({"Bank", 0, 3}), -1);        // past the arity
+  EXPECT_EQ(db.MeasureCellId({"CashBudget", 2, 1}), -1);  // past the end
+  EXPECT_EQ(db.MeasureCellId({"Missing", 0, 1}), -1);     // no relation
+
+  // A grown CashBudget shifts Bank's ids; nothing is cached.
+  ASSERT_TRUE(budget->Insert({Value(2005), Value(40), Value(2.5)}).ok());
+  expect_dense_ids();
+  EXPECT_EQ(db.MeasureCellId({"CashBudget", 2, 1}), 4);
+  EXPECT_EQ(db.MeasureCellId({"Bank", 0, 1}), 6);
 }
 
 TEST(DatabaseTest, CellAccessAndUpdate) {

@@ -130,7 +130,7 @@ TEST_F(PaperTranslationTest, FixedValuePinIsHonored) {
   const rel::CellRef total_receipts_2003{"CashBudget", 3, 4};
   auto translation = TranslateToMilp(db_, constraints_);
   ASSERT_TRUE(translation.ok());
-  const int z4 = translation->z_vars[translation->CellIndex(total_receipts_2003)];
+  const int z4 = translation->z_vars[db_.MeasureCellId(total_receipts_2003)];
   translation->model.SetVariableBounds(z4, 250.0, 250.0);
   milp::MilpOptions options;
   options.objective_is_integral = true;
